@@ -159,6 +159,94 @@ class RegistryValidation(unittest.TestCase):
             self.assertIn("schema version 9", out)
 
 
+class DatasetPins(unittest.TestCase):
+    """The optional dataset_pins registry section: rendered into the pins
+    header, validated entry by entry, and cross-checked against the
+    benchmark's perfbench/expected_seed42.json. Exercised on temp copies
+    of the good fixture (which has no dataset_pins section)."""
+
+    PIN = {"scenario": "alpha", "kind": "static-baseline", "op": "AT&T",
+           "stride": 64, "checksum": "0x0123456789abcdef"}
+
+    def make_root(self, tmp, entries, expected=None):
+        root = os.path.join(tmp, "good")
+        shutil.copytree(os.path.join(FIXTURES, "good"), root)
+        reg_path = os.path.join(root, "tools", "contracts.json")
+        with open(reg_path, encoding="utf-8") as f:
+            reg = json.load(f)
+        reg["dataset_pins"] = {"seed": 42, "entries": entries}
+        with open(reg_path, "w", encoding="utf-8") as f:
+            json.dump(reg, f, indent=2)
+        if expected is not None:
+            os.makedirs(os.path.join(root, "perfbench"))
+            with open(os.path.join(root, "perfbench", "expected_seed42.json"),
+                      "w", encoding="utf-8") as f:
+                json.dump({"cold-library": {"dataset_digests": expected}}, f)
+        return root
+
+    def fixed(self, root):
+        code, out, err = run_contract_at(root, "--fix-pins")
+        self.assertEqual(code, 0, out + err)
+        code, out, err = run_contract_at(root, "--fix-docs")
+        self.assertEqual(code, 0, out + err)
+        return run_contract_at(root)
+
+    def test_pins_render_into_the_header(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = self.make_root(tmp, [self.PIN])
+            code, out, _ = run_contract_at(root)
+            self.assertEqual(code, 1, out)
+            self.assertIn("[pins-stale]", out)
+            code, out, _ = self.fixed(root)
+            self.assertEqual(code, 0, out)
+            with open(os.path.join(root, "tests", "contract_pins.h"),
+                      encoding="utf-8") as f:
+                header = f.read()
+            self.assertIn('{"alpha", "static-baseline", "AT&T", 64, '
+                          '0x0123456789abcdefULL},', header)
+            self.assertIn("std::array<DatasetPin, 1> kDatasetPins", header)
+
+    def test_malformed_pins_fire(self):
+        bad_kind = dict(self.PIN, kind="campaign-ish")
+        no_op = {k: v for k, v in self.PIN.items() if k != "op"}
+        whole_roster_op = dict(self.PIN, kind="app-campaign")
+        bad_stride = dict(self.PIN, op="Verizon", stride=0)
+        for entry, needle in ((bad_kind, "kind must be one of"),
+                              (no_op, "op must be one of"),
+                              (whole_roster_op, "takes no op"),
+                              (bad_stride, "positive integer")):
+            with tempfile.TemporaryDirectory() as tmp:
+                code, out, _ = self.fixed(self.make_root(tmp, [entry]))
+                self.assertEqual(code, 1, out)
+                self.assertIn("[registry]", out)
+                self.assertIn(needle, out)
+
+    def test_duplicate_pin_fires(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out, _ = self.fixed(
+                self.make_root(tmp, [self.PIN, dict(self.PIN)]))
+            self.assertEqual(code, 1, out)
+            self.assertIn("alpha/static-baseline/AT&T is declared twice", out)
+
+    def test_disagreement_with_benchmark_record_fires(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = self.make_root(
+                tmp, [self.PIN],
+                {"alpha/static-baseline/AT&T": "0x1111111111111111"})
+            code, out, _ = self.fixed(root)
+            self.assertEqual(code, 1, out)
+            self.assertIn("perfbench/expected_seed42.json records "
+                          "0x1111111111111111", out)
+
+    def test_agreement_with_benchmark_record_passes(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = self.make_root(
+                tmp, [self.PIN],
+                {"alpha/static-baseline/AT&T": self.PIN["checksum"]})
+            code, out, _ = self.fixed(root)
+            self.assertEqual(code, 0, out)
+
+
 class OutputFormats(unittest.TestCase):
     def test_findings_serialize_with_rule_path_line_message(self):
         code, out, _ = run_contract("drifted_golden", "--format=json")
@@ -320,6 +408,26 @@ class RepoIsClean(unittest.TestCase):
         self.assertEqual(golden["checksum"], "0xbba11b2dda6d2b08")
         self.assertEqual(golden["seed"], 42)
         self.assertEqual(golden["stride"], 64)
+
+    def test_real_registry_pins_every_dataset_of_every_scenario(self):
+        # Eight datasets per library scenario; paper-default's campaign
+        # is the golden above.
+        with open(os.path.join(REPO_ROOT, "tools", "contracts.json"),
+                  encoding="utf-8") as f:
+            reg = json.load(f)
+        pins = {(p["scenario"], p["kind"], p.get("op", ""))
+                for p in reg["dataset_pins"]["entries"]}
+        scenarios = sorted(n[:-len(".json")] for n in os.listdir(
+            os.path.join(REPO_ROOT, "scenarios")) if n.endswith(".json"))
+        want = set()
+        for name in scenarios:
+            for kind in ("static-baseline", "app-static-baseline"):
+                for op in ("Verizon", "T-Mobile", "AT&T"):
+                    want.add((name, kind, op))
+            want.add((name, "app-campaign", ""))
+            if name != "paper-default":
+                want.add((name, "campaign", ""))
+        self.assertEqual(pins, want)
 
 
 if __name__ == "__main__":

@@ -13,16 +13,19 @@ in the style of wheels_lint.py / wheels_arch.py:
 
   registry            tools/contracts.json itself is malformed: missing
                       keys, no golden for the current schema version,
-                      bad checksum syntax, duplicate env var names.
+                      bad checksum syntax, duplicate env var names, or a
+                      per-dataset pin that is malformed, duplicated,
+                      names no library scenario, or disagrees with the
+                      benchmark's perfbench/expected_seed42.json.
   schema-pin          src/dataset/serialize.h kSchemaVersion / kMagic
                       disagree with the registry.
   golden-pin          a golden-checksum literal (tests/, bench/, or a
                       16-hex-digit literal in README/DESIGN/EXPERIMENTS)
                       differs from the registry's checksum for the
                       current schema version.
-  pins-stale          the generated tests/contract_pins.h is missing or
-                      out of sync with the registry (--fix-pins
-                      regenerates it).
+  pins-stale          the generated tests/contract_pins.h (golden and
+                      per-dataset pins) is missing or out of sync with
+                      the registry (--fix-pins regenerates it).
   env-undeclared      getenv/setenv of a WHEELS_* variable in C++, or a
                       WHEELS_* reference in the CI driver, that the
                       registry does not declare.
@@ -83,6 +86,9 @@ TESTS_DIR_REL = "tests"
 TESTS_CMAKE_REL = "tests/CMakeLists.txt"
 README_REL = "README.md"
 DOC_SCAN = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+# The benchmark's own record of the seed-42 stride-64 dataset digests;
+# per-dataset pins at that seed and stride must agree with it.
+BENCH_EXPECTED_REL = "perfbench/expected_seed42.json"
 
 CPP_SCAN_DIRS = ("src", "tools", "bench", "examples", "tests")
 CPP_EXTENSIONS = (".cpp", ".h", ".hpp", ".cc")
@@ -191,6 +197,12 @@ def registry_line(registry_text: str, needle: str) -> int:
 
 CHECKSUM_RE = re.compile(r"^0x[0-9a-f]{16}$")
 ENV_KINDS = ("runtime", "ci", "cmake")
+# dataset::to_string(DatasetKind); the static kinds are pinned once per
+# roster slot, named by its paper-default operator (ran::to_string).
+DATASET_KINDS = ("campaign", "static-baseline", "app-campaign",
+                 "app-static-baseline")
+PER_OPERATOR_KINDS = ("static-baseline", "app-static-baseline")
+OPERATOR_SLOTS = ("Verizon", "T-Mobile", "AT&T")
 
 
 def check_registry(reg: dict, reg_rel: str, reg_text: str) -> list[Finding]:
@@ -238,6 +250,95 @@ def check_registry(reg: dict, reg_rel: str, reg_text: str) -> list[Finding]:
     return findings
 
 
+def dataset_pin_key(pin: dict) -> str:
+    """The perfbench/expected_seed42.json spelling of a pin's dataset."""
+    key = f"{pin.get('scenario')}/{pin.get('kind')}"
+    return f"{key}/{pin['op']}" if pin.get("op") else key
+
+
+def check_dataset_pins(root: str, reg: dict, reg_rel: str,
+                       reg_text: str) -> list[Finding]:
+    """The optional dataset_pins section: one well-formed entry per
+    (scenario, kind, operator slot), naming library scenarios, and equal
+    to the benchmark's digest wherever both pin the same dataset."""
+    pins = reg.get("dataset_pins")
+    if pins is None:
+        return []
+    findings = []
+
+    def bad(needle: str, msg: str) -> None:
+        findings.append(
+            Finding(reg_rel, registry_line(reg_text, needle), "registry", msg))
+
+    entries = pins.get("entries") if isinstance(pins, dict) else None
+    if not isinstance(pins.get("seed") if isinstance(pins, dict) else None,
+                      int) or not isinstance(entries, list):
+        bad("dataset_pins", "dataset_pins needs an integer seed and an "
+            "entries list")
+        return findings
+    library = {
+        doc.get("name") for _, doc in scenario_docs(root)
+        if isinstance(doc, dict)
+    }
+    seen: set[str] = set()
+    valid = []
+    for pin in entries:
+        if not isinstance(pin, dict):
+            bad("dataset_pins", "every dataset pin must be an object")
+            continue
+        key = dataset_pin_key(pin)
+        needle = f'"checksum": "{pin.get("checksum")}"'
+        kind, op = pin.get("kind"), pin.get("op", "")
+        if kind not in DATASET_KINDS:
+            bad(needle, f"dataset pin {key}: kind must be one of "
+                f"{', '.join(DATASET_KINDS)}")
+            continue
+        if kind in PER_OPERATOR_KINDS and op not in OPERATOR_SLOTS:
+            bad(needle, f"dataset pin {key}: {kind} is pinned per "
+                f"operator slot; op must be one of "
+                f"{', '.join(OPERATOR_SLOTS)}")
+            continue
+        if kind not in PER_OPERATOR_KINDS and op:
+            bad(needle, f"dataset pin {key}: {kind} covers the whole "
+                "roster and takes no op")
+            continue
+        stride = pin.get("stride")
+        if not isinstance(stride, int) or stride <= 0:
+            bad(needle, f"dataset pin {key}: stride must be a positive "
+                "integer")
+            continue
+        if not CHECKSUM_RE.match(str(pin.get("checksum"))):
+            bad(needle, f"dataset pin {key} needs a checksum of the form "
+                "0x<16 lowercase hex digits>")
+            continue
+        if key in seen:
+            bad(needle, f"dataset pin {key} is declared twice")
+            continue
+        seen.add(key)
+        if library and pin.get("scenario") not in library:
+            bad(needle, f"dataset pin {key} names no scenarios/*.json "
+                "library scenario")
+            continue
+        valid.append(pin)
+
+    expected_text = read_text(root, BENCH_EXPECTED_REL)
+    if expected_text is None or pins["seed"] != 42:
+        return findings
+    try:
+        digests = json.loads(expected_text)["cold-library"]["dataset_digests"]
+    except (json.JSONDecodeError, KeyError, TypeError):
+        return findings
+    for pin in valid:
+        want = digests.get(dataset_pin_key(pin))
+        if pin["stride"] == 64 and want is not None and \
+                want.lower() != pin["checksum"]:
+            bad(f'"checksum": "{pin["checksum"]}"',
+                f"dataset pin {dataset_pin_key(pin)} is {pin['checksum']} "
+                f"but {BENCH_EXPECTED_REL} records {want} for the same "
+                "seed-42 stride-64 dataset")
+    return findings
+
+
 def current_golden(reg: dict) -> dict | None:
     entry = reg.get("golden_checksums", {}).get(str(reg.get("schema_version")))
     return entry if isinstance(entry, dict) else None
@@ -246,9 +347,40 @@ def current_golden(reg: dict) -> dict | None:
 # --- generated artifacts: pins header + README tables ------------------------
 
 
+def render_dataset_pins(reg: dict) -> str:
+    pins = reg.get("dataset_pins")
+    if not isinstance(pins, dict):
+        return ""
+    entries = [p for p in pins.get("entries", []) if isinstance(p, dict)]
+    rows = "".join(
+        f'    {{"{p.get("scenario")}", "{p.get("kind")}", '
+        f'"{p.get("op", "")}", {p.get("stride")}, '
+        f'{p.get("checksum")}ULL}},\n' for p in entries)
+    return f"""
+// Per-dataset pins: FNV-1a of the encoded dataset for every shipped
+// scenario at seed {pins.get("seed")}, one entry per (scenario, kind, operator
+// slot). `kind` is dataset::to_string(DatasetKind); `op` names a roster
+// slot by its paper-default operator (ran::to_string) and is empty for
+// the whole-roster kinds. Static baselines do not depend on the stride.
+struct DatasetPin {{
+  std::string_view scenario;
+  std::string_view kind;
+  std::string_view op;
+  int stride;
+  std::uint64_t checksum;
+}};
+
+inline constexpr std::uint64_t kDatasetPinSeed = {pins.get("seed")};
+inline constexpr std::array<DatasetPin, {len(entries)}> kDatasetPins{{{{
+{rows}}}}};
+"""
+
+
 def render_pins_header(reg: dict) -> str:
     golden = current_golden(reg) or {}
     checksum = golden.get("checksum", "0x0")
+    dataset_pins = render_dataset_pins(reg)
+    array_include = "#include <array>\n" if dataset_pins else ""
     return f"""\
 // GENERATED FILE -- do not edit by hand.
 //
@@ -259,7 +391,7 @@ def render_pins_header(reg: dict) -> str:
 // edit plus a regeneration -- never a hunt for scattered literals.
 #pragma once
 
-#include <cstdint>
+{array_include}#include <cstdint>
 #include <string_view>
 
 namespace wheels::contract {{
@@ -277,7 +409,7 @@ inline constexpr std::uint64_t kGoldenSeed = {golden.get("seed", 0)};
 inline constexpr int kGoldenStride = {golden.get("stride", 0)};
 inline constexpr std::uint64_t kGoldenCampaignChecksum =
     {checksum}ULL;
-
+{dataset_pins}
 }}  // namespace wheels::contract
 """
 
@@ -295,6 +427,18 @@ def render_pins_table(reg: dict, root: str) -> list[str]:
         f"| dataset schema version | `{reg.get('schema_version')}` |",
         f"| golden campaign checksum (seed {golden.get('seed')}, "
         f"stride {golden.get('stride')}) | `{golden.get('checksum')}` |",
+    ] + dataset_pins_row(reg)
+
+
+def dataset_pins_row(reg: dict) -> list[str]:
+    pins = reg.get("dataset_pins")
+    if not isinstance(pins, dict):
+        return []
+    return [
+        f"| per-dataset checksums (seed {pins.get('seed')}, every scenario, "
+        "kind and operator slot) | "
+        f"{len(pins.get('entries', []))} entries in `tools/contracts.json` "
+        "`dataset_pins` |"
     ]
 
 
@@ -895,6 +1039,7 @@ def main(argv: list[str]) -> int:
 
     findings = check_registry(reg, REGISTRY_REL, reg_text)
     registry_broken = bool(findings)
+    findings += check_dataset_pins(root, reg, REGISTRY_REL, reg_text)
     if not registry_broken:
         findings += check_schema_pin(root, reg)
         findings += check_golden_pin(root, reg, cpp_files)

@@ -9,7 +9,7 @@
 #include "core/table.h"
 #include "net/mptcp.h"
 #include "net/mptcp_scheduler.h"
-#include "trip/region.h"
+#include "trip/world.h"
 
 int main(int argc, char** argv) {
   using namespace wheels;
@@ -79,19 +79,14 @@ int main(int argc, char** argv) {
   std::cout << "\n--- Dynamic MPTCP simulation (1 h of driving, 20 ms "
                "slots) ---\n";
   {
-    const trip::Route route = trip::Route::cross_country();
-    Rng rng(42);
-    const ran::Corridor corridor =
-        trip::build_corridor(route, rng.fork("corridor"));
-    trip::TripSimulator trip_sim(route, corridor, rng.fork("trip"));
-    std::vector<std::unique_ptr<ran::Deployment>> deps;
+    const trip::World world(scenario::paper_default(), 42);
+    const Rng& rng = world.rng();
+    trip::TripSimulator trip_sim(world.route(), world.corridor(),
+                                 rng.fork("trip"));
     std::vector<std::unique_ptr<ran::UeSimulator>> ues;
     for (auto op : ran::kAllOperators) {
-      deps.push_back(std::make_unique<ran::Deployment>(
-          ran::Deployment::generate(corridor, ran::operator_profile(op),
-                                    rng.fork(to_string(op)))));
       ues.push_back(std::make_unique<ran::UeSimulator>(
-          corridor, *deps.back(), ran::operator_profile(op),
+          world.corridor(), world.deployment(op), world.profile(op),
           rng.fork(to_string(op)).fork("ue"),
           ran::TrafficProfile::BackloggedDl));
     }

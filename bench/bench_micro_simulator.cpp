@@ -5,6 +5,7 @@
 #include "radio/link_budget.h"
 #include "radio/mcs.h"
 #include "radio/phy_rate.h"
+#include "ran/kernel.h"
 #include "ran/ue.h"
 #include "trip/region.h"
 #include "trip/route.h"
@@ -68,20 +69,26 @@ void BM_UeStep(benchmark::State& state) {
 }
 BENCHMARK(BM_UeStep);
 
-void BM_DeploymentNearestCell(benchmark::State& state) {
+// The candidate-cell lookup of one point step: a one-row fill, seeded by
+// a binary search per layer.
+void BM_FillNearestCellsOneRow(benchmark::State& state) {
   const auto route = trip::Route::cross_country();
   static const ran::Corridor corridor =
       trip::build_corridor(route, Rng(5));
-  static const ran::Deployment dep = ran::Deployment::generate(
-      corridor, ran::operator_profile(ran::OperatorId::Verizon), Rng(6));
-  double pos = 0.0;
+  const ran::OperatorProfile& profile =
+      ran::operator_profile(ran::OperatorId::Verizon);
+  static const ran::Deployment dep =
+      ran::Deployment::generate(corridor, profile, Rng(6));
+  ran::SegmentBatch batch;
+  batch.resize(1);
   for (auto _ : state) {
+    double& pos = batch.pos_m[0];
     pos = pos > corridor.length().value ? 0.0 : pos + 313.0;
-    benchmark::DoNotOptimize(
-        dep.nearest_cell(radio::Tech::LTE_A, Meters{pos}));
+    ran::fill_nearest_cells(dep, profile, batch);
+    benchmark::DoNotOptimize(batch.layers[0].cell[0]);
   }
 }
-BENCHMARK(BM_DeploymentNearestCell);
+BENCHMARK(BM_FillNearestCellsOneRow);
 
 }  // namespace
 

@@ -1,25 +1,11 @@
 #include "apps/app_campaign.h"
 
-#include <cmath>
-
 #include "apps/accuracy.h"
-#include "ran/scenario_profiles.h"
-#include "trip/region.h"
-#include "trip/route.h"
 
 namespace wheels::apps {
 namespace {
 
-using radio::Tech;
 using ran::OperatorId;
-
-std::vector<net::EdgeSite> edge_sites_from(const trip::Route& route) {
-  std::vector<net::EdgeSite> sites;
-  for (const auto& c : route.cities()) {
-    if (c.has_edge_server) sites.push_back({c.name, c.route_pos});
-  }
-  return sites;
-}
 
 constexpr Millis kArFrameInterval{1'000.0 / 30.0};
 
@@ -44,31 +30,20 @@ AppCampaignConfig AppCampaignConfig::from_scenario(
   AppCampaignConfig cfg;
   cfg.seed = spec.seed;
   cfg.cycle_stride = cycle_stride;
-  cfg.gap = Millis{spec.timing.gap_ms};
-  cfg.drive.hours_per_day = spec.drive.hours_per_day;
-  cfg.drive.start_hour_local = spec.drive.start_hour_local;
-  cfg.drive.speed =
-      trip::SpeedTargets{spec.speed.urban_mph, spec.speed.suburban_mph,
-                         spec.speed.rural_mph, spec.speed.max_mph};
   cfg.spec = spec;
   return cfg;
 }
 
-AppCampaign::AppCampaign(AppCampaignConfig cfg) : cfg_(std::move(cfg)) {
-  scenario::validate(cfg_.spec);
-}
+AppCampaign::AppCampaign(AppCampaignConfig cfg)
+    : cfg_(std::move(cfg)), world_(cfg_.spec, cfg_.seed) {}
 
 const AppCampaignResult& AppCampaign::run() {
   if (ran_) return result_;
   ran_ = true;
   AppCampaignResult& result = result_;
-  const trip::Route route = trip::Route::from_spec(cfg_.spec.route);
-  Rng rng(cfg_.seed);
-  const ran::Corridor corridor =
-      trip::build_corridor(route, rng.fork("corridor"));
-  const net::ServerSelector servers(edge_sites_from(route));
-  const ran::LoadRegime regime =
-      ran::regime_from_spec(cfg_.spec.load_regime);
+  const Rng& root = world_.rng();
+  const trip::DriveConfig drive = trip::drive_from_spec(cfg_.spec);
+  const Millis gap_len{cfg_.spec.timing.gap_ms};
   const scenario::AppMixSpec& mix = cfg_.spec.apps;
   // Skipped-cycle drive time: each enabled offload run is 20 s, video
   // 180 s, gaming 60 s, one gap after every enabled run. The default mix
@@ -80,24 +55,22 @@ const AppCampaignResult& AppCampaign::run() {
   const Millis skip_len{offload_runs * 20'000.0 +
                         (mix.video ? 180'000.0 : 0.0) +
                         (mix.gaming ? 60'000.0 : 0.0) +
-                        gap_count * cfg_.gap.value};
+                        gap_count * gap_len.value};
 
   for (OperatorId op : ran::kAllOperators) {
     const auto oi = static_cast<std::size_t>(op);
     const scenario::OperatorSpec& ospec = cfg_.spec.operators[oi];
-    const ran::OperatorProfile profile = ran::profile_from_spec(ospec, op);
-    const ran::Deployment dep = ran::Deployment::generate(
-        // wheels-rng: dynamic(one deployment stream per operator name)
-        corridor, profile, rng.fork(ospec.name));
     // Same trip seed for every operator: the phones share the car.
-    trip::TripSimulator trip(route, corridor, rng.fork("trip"), cfg_.drive);
-    ran::UeSimulator ue(corridor, dep, profile,
+    trip::TripSimulator trip(world_.route(), world_.corridor(),
+                             root.fork("trip"), drive);
+    ran::UeSimulator ue(world_.corridor(), world_.deployment(op),
+                        world_.profile(op),
                         // wheels-rng: dynamic(per-operator UE stream)
-                        rng.fork(ospec.name).fork("app-ue"),
+                        root.fork(ospec.name).fork("app-ue"),
                         ran::TrafficProfile::Interactive, cfg_.spec.bands,
-                        regime);
+                        world_.regime());
     // wheels-rng: dynamic(per-operator app-session stream)
-    Rng app_rng = rng.fork(ospec.name).fork("apps");
+    Rng app_rng = root.fork(ospec.name).fork("apps");
 
     LinkEnv env;
     env.step = [&](Millis dt) {
@@ -122,8 +95,8 @@ const AppCampaignResult& AppCampaign::run() {
       rec.op = op;
       rec.start = trip.current().time;
       rec.position = trip.current().position;
-      rec.tz = corridor.at(rec.position).tz;
-      const auto ep = servers.select(op, rec.position, rec.tz);
+      rec.tz = world_.corridor().at(rec.position).tz;
+      const auto ep = world_.servers().select(op, rec.position, rec.tz);
       rec.server = ep.kind;
       env.path_one_way = ep.one_way_delay;
       return rec;
@@ -157,7 +130,7 @@ const AppCampaignResult& AppCampaign::run() {
           rec.handovers =
               static_cast<int>(ue.handovers().size() - ho_base);
           result.runs[oi].push_back(std::move(rec));
-          gap(cfg_.gap);
+          gap(gap_len);
         }
       }
 
@@ -172,7 +145,7 @@ const AppCampaignResult& AppCampaign::run() {
         rec.frac_high_speed_5g = r.frac_high_speed_5g;
         rec.handovers = static_cast<int>(ue.handovers().size() - ho_base);
         result.runs[oi].push_back(std::move(rec));
-        gap(cfg_.gap);
+        gap(gap_len);
       }
 
       if (trip.finished()) break;
@@ -188,7 +161,7 @@ const AppCampaignResult& AppCampaign::run() {
         rec.frac_high_speed_5g = r.frac_high_speed_5g;
         rec.handovers = static_cast<int>(ue.handovers().size() - ho_base);
         result.runs[oi].push_back(std::move(rec));
-        gap(cfg_.gap);
+        gap(gap_len);
       }
     }
   }
@@ -197,46 +170,25 @@ const AppCampaignResult& AppCampaign::run() {
 
 std::vector<AppRunRecord> AppCampaign::run_static_baseline(OperatorId op) {
   std::vector<AppRunRecord> out;
-  const trip::Route route = trip::Route::from_spec(cfg_.spec.route);
-  Rng rng(cfg_.seed);
-  const ran::Corridor corridor =
-      trip::build_corridor(route, rng.fork("corridor"));
-  const net::ServerSelector servers(edge_sites_from(route));
-  const ran::LoadRegime regime =
-      ran::regime_from_spec(cfg_.spec.load_regime);
   const scenario::AppMixSpec& mix = cfg_.spec.apps;
   const scenario::OperatorSpec& ospec =
       cfg_.spec.operators[static_cast<std::size_t>(op)];
-  const ran::OperatorProfile profile = ran::profile_from_spec(ospec, op);
-  const ran::Deployment dep =
-      // wheels-rng: dynamic(one deployment stream per operator name)
-      ran::Deployment::generate(corridor, profile, rng.fork(ospec.name));
+  const Rng& root = world_.rng();
   // wheels-rng: dynamic(per-operator static-baseline stream)
-  Rng srng = rng.fork(ospec.name).fork("static-apps");
+  Rng srng = root.fork(ospec.name).fork("static-apps");
 
-  for (const auto& city : route.cities()) {
-    // Nearest mmWave site in the urban core, else mid-band.
-    const ran::Cell* site = nullptr;
-    for (Tech tech : {Tech::NR_MMWAVE, Tech::NR_MID}) {
-      double best_d = 22'000.0;
-      for (const auto& c : dep.cells(tech)) {
-        const double d = std::abs(c.route_pos.value - city.route_pos.value);
-        if (d < best_d) {
-          best_d = d;
-          site = &c;
-        }
-      }
-      if (site) break;
-    }
+  for (const auto& city : world_.route().cities()) {
+    const ran::Cell* site = world_.best_5g_site(op, city);
     if (!site) continue;
 
     const Meters pos = site->route_pos;
-    const TimeZone tz = corridor.at(pos).tz;
-    const auto ep = servers.select(op, pos, tz);
-    // wheels-rng: dynamic(per-city UE stream for the static baseline)
-    ran::UeSimulator ue(corridor, dep, profile, srng.fork(city.name),
-                        ran::TrafficProfile::Interactive, cfg_.spec.bands,
-                        regime);
+    const TimeZone tz = world_.corridor().at(pos).tz;
+    const auto ep = world_.servers().select(op, pos, tz);
+    ran::UeSimulator ue(world_.corridor(), world_.deployment(op),
+                        world_.profile(op),
+                        // wheels-rng: dynamic(per-city UE stream for the static baseline)
+                        srng.fork(city.name), ran::TrafficProfile::Interactive,
+                        cfg_.spec.bands, world_.regime());
     ue.set_favourable_conditions(true);
     CivilTime noon;
     noon.day = 1;

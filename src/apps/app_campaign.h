@@ -18,7 +18,7 @@
 #include "net/server.h"
 #include "ran/operator_profile.h"
 #include "scenario/spec.h"
-#include "trip/trip_simulator.h"
+#include "trip/world.h"
 
 namespace wheels::apps {
 
@@ -69,13 +69,12 @@ struct AppCampaignConfig {
   // Run every k-th cycle (fast-forwarding the rest) to trade sample count
   // for runtime; geographic spread is preserved.
   int cycle_stride = 1;
-  Millis gap{3'000.0};
-  trip::DriveConfig drive{};
   // The scenario this app campaign realizes: route, roster, band plan,
-  // load regime, and which app families run (spec.apps). The fields above
-  // are derived from it by from_scenario().
+  // load regime, gap and drive timing, and which app families run
+  // (spec.apps).
   scenario::ScenarioSpec spec = scenario::paper_default();
 
+  // A config for a validated scenario at its own seed.
   static AppCampaignConfig from_scenario(const scenario::ScenarioSpec& spec,
                                          int cycle_stride = 1);
 };
@@ -107,6 +106,7 @@ class AppCampaign {
 
  private:
   AppCampaignConfig cfg_;
+  trip::World world_;
   AppCampaignResult result_;
   bool ran_ = false;
 };

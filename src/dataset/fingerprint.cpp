@@ -30,21 +30,25 @@ class FnvHasher {
 constexpr std::uint64_t kTagCampaign = 0x77686C2D63616D70ull;     // "whl-camp"
 constexpr std::uint64_t kTagAppCampaign = 0x77686C2D61707073ull;  // "whl-apps"
 
+// The timing and drive values are hashed on their own, ahead of the
+// scenario hash, in this fixed order: the order is part of every cache
+// file name.
 std::uint64_t hash_campaign(const trip::CampaignConfig& cfg, int stride) {
+  const scenario::TimingSpec& t = cfg.spec.timing;
   FnvHasher h;
   h.u64(kTagCampaign);
   h.u64(cfg.seed);
-  h.f64(cfg.slot.value);
-  h.f64(cfg.tput_test_duration.value);
-  h.f64(cfg.rtt_test_duration.value);
-  h.f64(cfg.gap.value);
-  h.f64(cfg.ping_interval.value);
-  h.f64(cfg.sample_window.value);
+  h.f64(t.slot_ms);
+  h.f64(t.tput_test_ms);
+  h.f64(t.rtt_test_ms);
+  h.f64(t.gap_ms);
+  h.f64(t.ping_interval_ms);
+  h.f64(t.sample_window_ms);
   h.i32(stride);
-  h.f64(cfg.drive.hours_per_day);
-  h.i32(cfg.drive.start_hour_local);
+  h.f64(cfg.spec.drive.hours_per_day);
+  h.i32(cfg.spec.drive.start_hour_local);
   // Distinct scenarios (route, roster, bands, regime, app mix) must never
-  // share a cache slot even when the derived timing fields coincide.
+  // share a cache slot even when the timing fields coincide.
   h.u64(scenario::scenario_hash(cfg.spec));
   return h.value();
 }
@@ -54,9 +58,9 @@ std::uint64_t hash_apps(const apps::AppCampaignConfig& cfg, int stride) {
   h.u64(kTagAppCampaign);
   h.u64(cfg.seed);
   h.i32(stride);
-  h.f64(cfg.gap.value);
-  h.f64(cfg.drive.hours_per_day);
-  h.i32(cfg.drive.start_hour_local);
+  h.f64(cfg.spec.timing.gap_ms);
+  h.f64(cfg.spec.drive.hours_per_day);
+  h.i32(cfg.spec.drive.start_hour_local);
   h.u64(scenario::scenario_hash(cfg.spec));
   return h.value();
 }

@@ -20,7 +20,6 @@ constexpr std::size_t idx(Tech t) { return static_cast<std::size_t>(t); }
 Deployment Deployment::generate(const Corridor& corridor,
                                 const OperatorProfile& profile, Rng rng) {
   Deployment d;
-  d.profile_ = &profile;
   CellId next_id = 1;
 
   for (Tech tech : radio::kAllTechs) {
@@ -109,30 +108,6 @@ Deployment Deployment::generate(const Corridor& corridor,
               });
   }
   return d;
-}
-
-const Cell* Deployment::nearest_cell(Tech tech, Meters pos) const {
-  const auto& cells = by_tech_[idx(tech)];
-  if (cells.empty()) return nullptr;
-  // Lateral offsets mean the route-adjacent site is not always the
-  // nearest in 2-D: scan every site within the service range along the
-  // route (a handful at most).
-  const double range = service_range(tech, *profile_).value;
-  const auto lo = std::lower_bound(
-      cells.begin(), cells.end(), pos.value - range,
-      [](const Cell& c, double v) { return c.route_pos.value < v; });
-  const Cell* best = nullptr;
-  double best_d = 0.0;
-  for (auto it = lo; it != cells.end(); ++it) {
-    if (it->route_pos.value > pos.value + range) break;
-    const double d = distance_to(*it, pos).value;
-    if (!best || d < best_d) {
-      best = &*it;
-      best_d = d;
-    }
-  }
-  if (!best || best_d > range) return nullptr;
-  return best;
 }
 
 std::span<const Cell> Deployment::cells(Tech tech) const {

@@ -45,14 +45,9 @@ class Deployment {
   static Deployment generate(const Corridor& corridor,
                              const OperatorProfile& profile, Rng rng);
 
-  // Nearest cell of `tech` to corridor position `pos`, if any is within
-  // its service range (a multiple of the layer's site spacing).
-  [[nodiscard]] const Cell* nearest_cell(radio::Tech tech, Meters pos) const;
-
   // 3-D-ish distance from `pos` to a cell (route delta + lateral offset).
   // Inline: this is evaluated a few times per simulation slot (serving
-  // link, handover evaluation, batched candidate sweep) and the hypot is
-  // the whole body.
+  // link, candidate sweep) and the hypot is the whole body.
   [[nodiscard]] static Meters distance_to(const Cell& cell, Meters pos) {
     const double dx = cell.route_pos.value - pos.value;
     return Meters{std::hypot(dx, cell.lateral.value)};
@@ -74,7 +69,6 @@ class Deployment {
 
   // Per-tech cells sorted by route position.
   std::array<std::vector<Cell>, 5> by_tech_;
-  const OperatorProfile* profile_ = nullptr;
 };
 
 }  // namespace wheels::ran

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace wheels::ran {
 
@@ -30,16 +29,26 @@ void fill_nearest_cells(const Deployment& dep, const OperatorProfile& profile,
     }
     const double range = Deployment::service_range(tech, profile).value;
     std::size_t lo = 0;
-    double prev_pos = -std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < n; ++i) {
       const double pos = b.pos_m[i];
-      if (pos < prev_pos) lo = 0;  // backwards jump: restart the sweep
-      prev_pos = pos;
-      // Advance the window start exactly as nearest_cell's lower_bound
-      // would (same `route_pos < pos - range` predicate).
+      if (i == 0 || pos < b.pos_m[i - 1]) {
+        // First row or a backward jump: seed the window start with a
+        // binary search, so a one-row fill costs one lower_bound.
+        lo = static_cast<std::size_t>(
+            std::lower_bound(cells.begin(), cells.end(), pos - range,
+                             [](const Cell& c, double v) {
+                               return c.route_pos.value < v;
+                             }) -
+            cells.begin());
+      }
+      // Advance the window start to the first cell with
+      // route_pos >= pos - range, the lower_bound above for this row.
       while (lo < cells.size() && cells[lo].route_pos.value < pos - range) {
         ++lo;
       }
+      // Lateral offsets mean the route-adjacent site is not always the
+      // nearest in 2-D: scan every site within the service range along
+      // the route (a handful at most).
       const Cell* best = nullptr;
       double best_d = 0.0;
       for (std::size_t j = lo; j < cells.size(); ++j) {

@@ -1,15 +1,15 @@
-// Batched replay kernel, RAN half: the structure-of-arrays view of one
-// trajectory segment shared by every UE replaying it.
+// The UE's input rows, RAN half of the KPI chain: the structure-of-arrays
+// view of the positions a UE is stepped through.
 //
-// A SegmentBatch hoists everything about a segment that does not depend on
-// UE state: per-slot position/speed, the pre-resolved environment and
-// timezone (recorded into the TrajectoryPoint at trajectory time, so the
-// batch needs zero Corridor lookups), and -- per technology layer -- the
-// nearest usable cell with its 2-D distance. Candidate cells are a pure
+// A SegmentBatch hoists everything about a run of slots that does not
+// depend on UE state: per-slot position/speed, the pre-resolved
+// environment and timezone, and -- per technology layer -- the nearest
+// usable cell with its 2-D distance. A campaign replay fills one batch per
+// trajectory segment and shares it between the operator's phones; a point
+// step fills the UE's own one-row batch. Candidate cells are a pure
 // function of position, so one monotone sweep over the sorted cell list
-// replaces a binary search per slot per layer. Everything consuming RNG
-// (shadowing, fading, policy draws) stays owned by the UE; the batch is
-// read-only geometry.
+// serves a whole segment. Everything consuming RNG (shadowing, fading,
+// policy draws) stays owned by the UE; the batch is read-only geometry.
 #pragma once
 
 #include <array>
@@ -40,12 +40,12 @@ struct SegmentBatch {
   void resize(std::size_t n);
 };
 
-// Fill every layer's candidate-cell columns for the batch positions.
-// Produces, slot for slot, the exact cell pointer and distance that
-// Deployment::nearest_cell + distance_to would: same range cut, same scan
-// order, same strict-less tie-break. Positions are visited in order, so
-// the per-layer window start only moves forward (the sweep restarts if a
-// segment ever runs backwards).
+// Fill every layer's candidate-cell columns for the batch positions: per
+// row, the cell of the layer nearest in 2-D (Deployment::distance_to)
+// among the sites within the service range along the route, first in
+// route order on a tie, or nullptr when none is within range. The first
+// row (and any row behind its predecessor) seeds the per-layer window
+// with a binary search; later rows only move it forward.
 void fill_nearest_cells(const Deployment& dep, const OperatorProfile& profile,
                         SegmentBatch& b);
 

@@ -43,7 +43,9 @@ UeSimulator::UeSimulator(const Corridor& corridor,
       blockage_(rng.fork("blockage"), Tech::NR_MMWAVE),
       fading_sub6_(rng.fork("fading-sub6"), Tech::NR_MID),
       fading_mmwave_(rng.fork("fading-mmw"), Tech::NR_MMWAVE),
-      derived_(radio::derive_plan(plan)) {}
+      derived_(radio::derive_plan(plan)) {
+  point_.resize(1);
+}
 
 void UeSimulator::set_traffic(TrafficProfile t) {
   if (t == traffic_) return;
@@ -101,30 +103,22 @@ Dbm UeSimulator::layer_rsrp(Tech tech, const Cell& cell, double dist_m,
   if (tech == Tech::NR_MMWAVE) {
     ch.shadowing = ch.shadowing + profile_.mmwave_beam_penalty;
   }
-  if (slot_.batch != nullptr) {
-    // Cached mirror of radio::rsrp: ((const - pl) - shadowing) - blockage,
-    // with blockage 0 here (RSRP excludes fast fading and blockage by
-    // construction of the callers).
-    const radio::BandDerived& bd = derived_.band(tech);
-    const double pl = radio::cached_pathloss_db(bd, env, dist_m);
-    return Dbm{(bd.rsrp_const_db - pl) - ch.shadowing.value};
-  }
-  return radio::rsrp(plan_.profile(tech), env, Meters{dist_m}, ch);
+  // Cached mirror of the link-budget RSRP: ((const - pl) - shadowing) -
+  // blockage, with blockage 0 here (RSRP excludes fast fading and
+  // blockage by construction of the callers).
+  const radio::BandDerived& bd = derived_.band(tech);
+  const double pl = radio::cached_pathloss_db(bd, env, dist_m);
+  return Dbm{(bd.rsrp_const_db - pl) - ch.shadowing.value};
 }
 
-double UeSimulator::candidate_distance(Tech tech, Meters pos) const {
-  if (slot_.batch != nullptr) {
-    return slot_.batch->layers[idx(tech)].dist_m[slot_.row];
-  }
-  return Deployment::distance_to(*layers_[idx(tech)]->candidate, pos).value;
+double UeSimulator::candidate_distance(Tech tech) const {
+  return slot_.batch->layers[idx(tech)].dist_m[slot_.row];
 }
 
 double UeSimulator::serving_distance_m(Meters pos) const {
-  if (slot_.batch != nullptr) {
-    const auto& layer = slot_.batch->layers[idx(serving_tech_)];
-    if (layer.cell[slot_.row] == serving_cell_) {
-      return layer.dist_m[slot_.row];  // same hypot, computed by the sweep
-    }
+  const auto& layer = slot_.batch->layers[idx(serving_tech_)];
+  if (layer.cell[slot_.row] == serving_cell_) {
+    return layer.dist_m[slot_.row];  // same hypot, computed by the sweep
   }
   return Deployment::distance_to(*serving_cell_, pos).value;
 }
@@ -145,13 +139,13 @@ void UeSimulator::ensure_layers(Environment env) {
 }
 
 void UeSimulator::begin_segment(const SegmentBatch& batch) {
-  shadow_prefilled_ = false;
+  prefetched_ = nullptr;
   const std::size_t n = batch.size();
   if (n == 0) return;
   ensure_layers(batch.env[0]);
 
   // Per-slot travelled distance, from this UE's own last position -- the
-  // exact per-step deltas the scalar path would compute.
+  // exact per-step deltas stepping row by row would compute.
   travelled_scratch_.resize(n);
   travelled_scratch_[0] =
       first_step_ ? 0.0 : batch.pos_m[0] - last_pos_.value;
@@ -191,27 +185,17 @@ void UeSimulator::begin_segment(const SegmentBatch& batch) {
                                        noise_rows_[share[i]],
                                        shadow_rows_[i]);
   }
-  shadow_prefilled_ = true;
+  prefetched_ = &batch;
 }
 
 LinkSample UeSimulator::step(SimTime now, Meters pos, Mph speed, Millis dt) {
   const CorridorSegment& here = corridor_.at(pos);
-  slot_ = SlotContext{};
-  slot_.env = here.env;
-  slot_.tz = here.tz;
-
-  const Meters travelled =
-      first_step_ ? Meters{0.0} : Meters{pos.value - last_pos_.value};
-  last_pos_ = pos;
-  first_step_ = false;
-
-  ensure_layers(here.env);
-  for (Tech tech : radio::kAllTechs) {
-    auto& layer = layers_[idx(tech)];
-    slot_.shadow_db[idx(tech)] = layer->shadowing.advance(travelled).value;
-    layer->candidate = deployment_.nearest_cell(tech, pos);
-  }
-  return step_core(now, pos, speed, dt);
+  point_.pos_m[0] = pos.value;
+  point_.speed_mph[0] = speed.value;
+  point_.env[0] = here.env;
+  point_.tz[0] = here.tz;
+  fill_nearest_cells(deployment_, profile_, point_);
+  return step(now, dt, point_, 0);
 }
 
 LinkSample UeSimulator::step(SimTime now, Millis dt, const SegmentBatch& batch,
@@ -225,12 +209,11 @@ LinkSample UeSimulator::step(SimTime now, Millis dt, const SegmentBatch& batch,
   const Meters pos{batch.pos_m[row]};
   const Mph speed{batch.speed_mph[row]};
   ensure_layers(batch.env[row]);
-  if (shadow_prefilled_) {
+  if (prefetched_ == &batch) {
     for (Tech tech : radio::kAllTechs) {
       slot_.shadow_db[idx(tech)] = shadow_rows_[idx(tech)][row];
     }
   } else {
-    // Passive logger: no prefill, advance scalar on its own cadence.
     const Meters travelled =
         first_step_ ? Meters{0.0} : Meters{pos.value - last_pos_.value};
     for (Tech tech : radio::kAllTechs) {
@@ -286,8 +269,8 @@ void UeSimulator::evaluate_policy(SimTime now, Meters pos, Mph speed) {
   // much more willing to promote.
   if (traffic_ != TrafficProfile::Idle) {
     const bool very_close =
-        (mmw && candidate_distance(Tech::NR_MMWAVE, pos) < 120.0) ||
-        (mid && candidate_distance(Tech::NR_MID, pos) < 250.0);
+        (mmw && candidate_distance(Tech::NR_MMWAVE) < 120.0) ||
+        (mid && candidate_distance(Tech::NR_MID) < 250.0);
     if (very_close) {
       // Uplink promotion stays more conservative even next to the site.
       p_hs = std::max(
@@ -441,8 +424,8 @@ void UeSimulator::maybe_start_handover(SimTime now, Meters pos, Millis dt) {
   const Dbm serving_rsrp = layer_rsrp(serving_tech_, *serving_cell_,
                                       serving_dist.value, slot_.env, shadow);
   const Dbm neigh_rsrp =
-      layer_rsrp(serving_tech_, *neighbour,
-                 candidate_distance(serving_tech_, pos), slot_.env, shadow);
+      layer_rsrp(serving_tech_, *neighbour, candidate_distance(serving_tech_),
+                 slot_.env, shadow);
   const double noise_db =
       rng_.normal(0.0, profile_.handover.measurement_noise_db);
   const double advantage =
@@ -451,7 +434,6 @@ void UeSimulator::maybe_start_handover(SimTime now, Meters pos, Millis dt) {
   if (advantage > profile_.handover.a3_offset.value) {
     if (a3_target_ != neighbour) {
       a3_target_ = neighbour;
-      a3_target_tech_ = serving_tech_;
       a3_accumulated_ = Millis{0.0};
     }
     a3_accumulated_ += dt;
@@ -530,9 +512,8 @@ LinkSample UeSimulator::step_core(SimTime now, Meters pos, Mph speed,
   s.cell = serving_cell_->id;
 
   // Channel for SINR: shadowing + fast fading + blockage. (Built before
-  // the RSRP so the batched branch can share one path-loss evaluation;
-  // neither the channel construction nor the RSRP draws from the RNG, so
-  // the stream order is unchanged.)
+  // the RSRP so one path-loss evaluation serves both; neither the channel
+  // construction nor the RSRP draws from the RNG.)
   radio::ChannelState ch;
   ch.shadowing = Db{shadow.value - serving_cell_->site_offset_db +
                     (tech == Tech::NR_MMWAVE
@@ -559,38 +540,24 @@ LinkSample UeSimulator::step_core(SimTime now, Meters pos, Mph speed,
   const double prb_dl = std::max(0.02, std::pow(1.0 - load_, 1.5));
   const double prb_ul = std::max(0.06, std::pow(1.0 - load_, 0.6));
 
-  radio::PhyRateResult dl;
-  radio::PhyRateResult ul;
-  if (slot_.batch != nullptr) {
-    // Cached mirrors: one hoisted path loss shared by the reported RSRP,
-    // RSRP-for-SINR and both SINR directions (the scalar path evaluates
-    // the identical expression four times), table-driven adaptation.
-    const radio::BandDerived& bd = derived_.band(tech);
-    const double pl = radio::cached_pathloss_db(bd, env, dist.value);
-    s.rsrp = Dbm{(bd.rsrp_const_db - pl) - ch.shadowing.value};
-    const double rsrp_sinr =
-        ((bd.rsrp_const_db - pl) - ch.shadowing.value) -
-        ch.blockage_loss.value;
-    const double rx_dl = rsrp_sinr + ch.fast_fading.value;
-    s.sinr_dl = Db{(rx_dl - radio::kNoisePerRe.value) - margin_dl.value};
-    const double rx_ul = (((bd.ul_const_db - pl) - ch.shadowing.value) -
-                          ch.blockage_loss.value) +
-                         ch.fast_fading.value;
-    s.sinr_ul = Db{(rx_ul - radio::kNoisePerRe.value) - margin_ul.value};
-    dl = radio::cached_phy_rate(derived_, bd, Direction::Downlink, s.sinr_dl,
-                                num_cc_dl_, prb_dl);
-    ul = radio::cached_phy_rate(derived_, bd, Direction::Uplink, s.sinr_ul,
-                                num_cc_ul_, prb_ul);
-  } else {
-    s.rsrp = layer_rsrp(tech, *serving_cell_, dist.value, env, shadow);
-    const radio::BandProfile& band = plan_.profile(tech);
-    s.sinr_dl = radio::sinr_downlink(band, env, dist, ch, margin_dl);
-    s.sinr_ul = radio::sinr_uplink(band, env, dist, ch, margin_ul);
-    dl = radio::compute_phy_rate(band, Direction::Downlink, s.sinr_dl,
-                                 num_cc_dl_, prb_dl);
-    ul = radio::compute_phy_rate(band, Direction::Uplink, s.sinr_ul,
-                                 num_cc_ul_, prb_ul);
-  }
+  // Cached mirrors of the link budget and PHY rate (radio/kernel.h): one
+  // hoisted path loss shared by the reported RSRP, RSRP-for-SINR and both
+  // SINR directions, table-driven adaptation.
+  const radio::BandDerived& bd = derived_.band(tech);
+  const double pl = radio::cached_pathloss_db(bd, env, dist.value);
+  s.rsrp = Dbm{(bd.rsrp_const_db - pl) - ch.shadowing.value};
+  const double rsrp_sinr =
+      ((bd.rsrp_const_db - pl) - ch.shadowing.value) - ch.blockage_loss.value;
+  const double rx_dl = rsrp_sinr + ch.fast_fading.value;
+  s.sinr_dl = Db{(rx_dl - radio::kNoisePerRe.value) - margin_dl.value};
+  const double rx_ul = (((bd.ul_const_db - pl) - ch.shadowing.value) -
+                        ch.blockage_loss.value) +
+                       ch.fast_fading.value;
+  s.sinr_ul = Db{(rx_ul - radio::kNoisePerRe.value) - margin_ul.value};
+  const radio::PhyRateResult dl = radio::cached_phy_rate(
+      derived_, bd, Direction::Downlink, s.sinr_dl, num_cc_dl_, prb_dl);
+  const radio::PhyRateResult ul = radio::cached_phy_rate(
+      derived_, bd, Direction::Uplink, s.sinr_ul, num_cc_ul_, prb_ul);
   s.mcs_dl = dl.mcs;
   s.mcs_ul = ul.mcs;
   s.bler_dl = dl.bler;

@@ -48,6 +48,8 @@ struct LinkSample {
   [[nodiscard]] Mbps phy_rate(radio::Direction d) const {
     return d == radio::Direction::Downlink ? phy_rate_dl : phy_rate_ul;
   }
+
+  friend bool operator==(const LinkSample&, const LinkSample&) = default;
 };
 
 struct HandoverRecord {
@@ -88,23 +90,26 @@ class UeSimulator {
   void set_favourable_conditions(bool f) { favourable_ = f; }
   [[nodiscard]] TrafficProfile traffic() const { return traffic_; }
 
-  // Advance the UE to corridor position `pos` (monotonic non-decreasing)
-  // at simulated time `now`; `dt` is the elapsed time since the previous
-  // step and `speed` the current vehicle speed.
-  LinkSample step(SimTime now, Meters pos, Mph speed, Millis dt);
-
-  // Batched replay. begin_segment() prefetches the per-layer shadowing
-  // rows for every slot of the batch (same recurrence, same per-stream RNG
-  // draw order as scalar stepping); the batched step() then consumes rows
-  // 0..size-1 in order, one step per row, with geometry, environment and
-  // candidate cells read from the batch instead of Corridor/Deployment
-  // lookups. Bit-identical to the scalar step() at the same
-  // position/speed/dt. A UE that steps a batch *without* begin_segment()
-  // (the passive logger, on its own cadence) advances shadowing scalar
-  // per call and only borrows the batch geometry.
-  void begin_segment(const SegmentBatch& batch);
+  // One step of the KPI chain for the UE at batch row `row`: position,
+  // speed, environment, timezone and candidate cells come from the batch;
+  // `now` is the simulated time and `dt` the elapsed time since the
+  // previous step. Rows prefetched by begin_segment() supply this step's
+  // shadowing; otherwise (a batch this UE did not prefetch, such as the
+  // passive logger borrowing the test phone's batch on its own cadence)
+  // shadowing advances per call from the UE's last position.
   LinkSample step(SimTime now, Millis dt, const SegmentBatch& batch,
                   std::size_t row);
+
+  // Prefetch the per-layer shadowing rows for every row of `batch` (the
+  // same recurrence and per-stream RNG draw order as advancing per step),
+  // for a caller that then steps rows 0..size-1 in order.
+  void begin_segment(const SegmentBatch& batch);
+
+  // Point step at corridor position `pos` (monotonic non-decreasing):
+  // fills the UE's own one-row batch from Corridor/Deployment lookups and
+  // steps it. For callers that move one point at a time (app sessions,
+  // the static baselines, tests).
+  LinkSample step(SimTime now, Meters pos, Mph speed, Millis dt);
 
   [[nodiscard]] const std::vector<HandoverRecord>& handovers() const {
     return handovers_;
@@ -126,9 +131,8 @@ class UeSimulator {
     const Cell* candidate = nullptr;  // nearest usable cell this step
   };
 
-  // Everything about the step in flight that used to be re-derived from
-  // Corridor/Deployment lookups. Valid for the duration of one step();
-  // `batch` selects the cached-constant math mirrors when non-null.
+  // The step in flight: its batch row and this step's shadowing. Valid
+  // for the duration of one step().
   struct SlotContext {
     radio::Environment env = radio::Environment::Rural;
     TimeZone tz = TimeZone::Pacific;
@@ -140,11 +144,10 @@ class UeSimulator {
   LinkSample step_core(SimTime now, Meters pos, Mph speed, Millis dt);
   void ensure_layers(radio::Environment env);
   void evaluate_policy(SimTime now, Meters pos, Mph speed);
-  // Distance to the current candidate of `tech` (batch column when
-  // batched, Deployment::distance_to otherwise).
-  [[nodiscard]] double candidate_distance(radio::Tech tech, Meters pos) const;
-  // Distance to the serving cell; the batched path reuses the fill
-  // sweep's hypot whenever the serving cell is this row's candidate.
+  // Distance to the current candidate of `tech` (the batch column).
+  [[nodiscard]] double candidate_distance(radio::Tech tech) const;
+  // Distance to the serving cell: the fill sweep's hypot whenever the
+  // serving cell is this row's candidate, Deployment::distance_to else.
   [[nodiscard]] double serving_distance_m(Meters pos) const;
   [[nodiscard]] Dbm layer_rsrp(radio::Tech tech, const Cell& cell,
                                double dist_m, radio::Environment env,
@@ -187,7 +190,6 @@ class UeSimulator {
 
   // A3 time-to-trigger accumulation toward a candidate target.
   const Cell* a3_target_ = nullptr;
-  radio::Tech a3_target_tech_ = radio::Tech::LTE;
   Millis a3_accumulated_{0.0};
 
   // In-progress handover interruption.
@@ -197,12 +199,15 @@ class UeSimulator {
   bool first_step_ = true;
   bool favourable_ = false;
 
-  // Batched-replay state. `derived_` hoists the plan's band constants and
-  // adaptation tables; the scratch rows are reused segment to segment.
+  // KPI-chain state. `derived_` hoists the plan's band constants and
+  // adaptation tables; `prefetched_` is the batch begin_segment() filled
+  // the shadowing rows for; `point_` is the point step's one-row batch.
+  // The scratch rows are reused segment to segment.
   radio::DerivedPlan derived_;
   SlotContext slot_;
   bool layers_ready_ = false;
-  bool shadow_prefilled_ = false;
+  const SegmentBatch* prefetched_ = nullptr;
+  SegmentBatch point_;
   std::array<std::vector<double>, 5> shadow_rows_;
   std::array<std::vector<double>, 5> rho_rows_;
   std::array<std::vector<double>, 5> noise_rows_;

@@ -1,7 +1,6 @@
 #include "trip/campaign.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -12,7 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "radio/phy_rate.h"
-#include "ran/scenario_profiles.h"
 #include "trip/replay_kernel.h"
 
 namespace wheels::trip {
@@ -50,21 +48,6 @@ std::uint64_t elapsed_us(std::int64_t start_ns) {
   return d > 0 ? static_cast<std::uint64_t>(d) / 1000 : 0;
 }
 
-std::vector<net::EdgeSite> edge_sites_from(const Route& route) {
-  std::vector<net::EdgeSite> sites;
-  for (const auto& c : route.cities()) {
-    if (c.has_edge_server) sites.push_back({c.name, c.route_pos});
-  }
-  return sites;
-}
-
-// Validates before any member that derives from the spec is built (the
-// route is constructed in the init list, ahead of the ctor body).
-CampaignConfig validated(CampaignConfig cfg) {
-  scenario::validate(cfg.spec);
-  return cfg;
-}
-
 }  // namespace
 
 CampaignConfig CampaignConfig::from_scenario(
@@ -72,17 +55,7 @@ CampaignConfig CampaignConfig::from_scenario(
   scenario::validate(spec);
   CampaignConfig cfg;
   cfg.seed = spec.seed;
-  cfg.slot = Millis{spec.timing.slot_ms};
-  cfg.tput_test_duration = Millis{spec.timing.tput_test_ms};
-  cfg.rtt_test_duration = Millis{spec.timing.rtt_test_ms};
-  cfg.gap = Millis{spec.timing.gap_ms};
-  cfg.ping_interval = Millis{spec.timing.ping_interval_ms};
-  cfg.sample_window = Millis{spec.timing.sample_window_ms};
   cfg.cycle_stride = cycle_stride;
-  cfg.drive.hours_per_day = spec.drive.hours_per_day;
-  cfg.drive.start_hour_local = spec.drive.start_hour_local;
-  cfg.drive.speed = SpeedTargets{spec.speed.urban_mph, spec.speed.suburban_mph,
-                                 spec.speed.rural_mph, spec.speed.max_mph};
   cfg.spec = spec;
   return cfg;
 }
@@ -97,78 +70,56 @@ struct Campaign::PhoneSet {
   Millis passive_log_accum{0.0};
   ReplayScratch scratch;  // batch + sample buffers, reused per segment
 
-  PhoneSet(OperatorId op_, const ran::Corridor& corridor,
-           const ran::Deployment& dep, const ran::OperatorProfile& profile,
-           const radio::BandPlan& plan, ran::LoadRegime regime, Rng r)
+  PhoneSet(OperatorId op_, const World& world, const radio::BandPlan& plan,
+           Rng r)
       : op(op_),
-        test_ue(corridor, dep, profile, r.fork("test"),
-                ran::TrafficProfile::Idle, plan, regime),
-        passive_ue(corridor, dep, profile, r.fork("passive"),
-                   ran::TrafficProfile::Idle, plan, regime),
+        test_ue(world.corridor(), world.deployment(op_), world.profile(op_),
+                r.fork("test"), ran::TrafficProfile::Idle, plan,
+                world.regime()),
+        passive_ue(world.corridor(), world.deployment(op_),
+                   world.profile(op_), r.fork("passive"),
+                   ran::TrafficProfile::Idle, plan, world.regime()),
         flow(r.fork("tcp")),
         rng(r.fork("misc")) {}
 };
 
 Campaign::Campaign(CampaignConfig cfg)
-    : cfg_(validated(std::move(cfg))),
-      rng_(cfg_.seed),
-      route_(Route::from_spec(cfg_.spec.route)),
-      corridor_(build_corridor(route_, rng_.fork("corridor"))),
-      regime_(ran::regime_from_spec(cfg_.spec.load_regime)),
-      servers_(edge_sites_from(route_)),
-      trip_(route_, corridor_, rng_.fork("trip"), cfg_.drive),
-      jobs_(resolve_jobs()),
-      use_kernel_(replay_kernel_enabled_from_env()) {
-  // Roster slot i realizes operators[i] (validate() pins the roster to
-  // exactly 3). Fork labels are the roster names: paper-default names the
-  // real operators, so the streams match the pre-scenario engine exactly.
+    : cfg_(std::move(cfg)),
+      world_(cfg_.spec, cfg_.seed),
+      jobs_(resolve_jobs()) {
+  const Rng& root = world_.rng();
   for (OperatorId op : ran::kAllOperators) {
     const auto i = static_cast<std::size_t>(op);
     const scenario::OperatorSpec& ospec = cfg_.spec.operators[i];
-    profiles_[i] = ran::profile_from_spec(ospec, op);
-    deployments_[i] = std::make_unique<ran::Deployment>(
-        ran::Deployment::generate(corridor_, profiles_[i],
-                                  // wheels-rng: dynamic(one deployment stream per operator name)
-                                  rng_.fork(ospec.name)));
     phones_.push_back(std::make_unique<PhoneSet>(
-        op, corridor_, *deployments_[i], profiles_[i], cfg_.spec.bands,
+        op, world_, cfg_.spec.bands,
         // wheels-rng: dynamic(per-operator phone-set stream)
-        regime_, rng_.fork(ospec.name).fork("ue")));
+        root.fork(ospec.name).fork("ue")));
     result_.logs[i].op = op;
   }
 }
 
 Campaign::~Campaign() = default;
 
-const ran::Deployment& Campaign::deployment(OperatorId op) const {
-  return *deployments_[static_cast<std::size_t>(op)];
-}
-
 void Campaign::set_jobs(int jobs) { jobs_ = resolve_jobs(jobs); }
 
-const ran::SegmentBatch* Campaign::maybe_batch(PhoneSet& ph,
-                                               const Trajectory& traj,
-                                               const TrajectorySegment& seg) {
-  if (!use_kernel_ || seg.end <= seg.begin) return nullptr;
-  const auto i = static_cast<std::size_t>(ph.op);
-  prepare_segment_batch(traj, seg, *deployments_[i], profiles_[i],
-                        ph.scratch.batch);
+const ran::SegmentBatch& Campaign::prepare_batch(
+    PhoneSet& ph, const Trajectory& traj, const TrajectorySegment& seg) {
+  prepare_segment_batch(traj, seg, world_.deployment(ph.op),
+                        world_.profile(ph.op), ph.scratch.batch);
   ph.test_ue.begin_segment(ph.scratch.batch);
-  return &ph.scratch.batch;
+  return ph.scratch.batch;
 }
 
 void Campaign::step_passive(PhoneSet& ph, const TrajectoryPoint& pt, Millis dt,
-                            const ran::SegmentBatch* batch, std::size_t row) {
+                            const ran::SegmentBatch& batch, std::size_t row) {
   // The passive phone samples coarsely (its ping cadence is 200 ms) and
   // logs a technology record every second.
   ph.passive_step_accum += dt;
   ph.passive_log_accum += dt;
   if (ph.passive_step_accum.value >= 200.0) {
     const auto link =
-        batch != nullptr
-            ? ph.passive_ue.step(pt.time, ph.passive_step_accum, *batch, row)
-            : ph.passive_ue.step(pt.time, pt.position, pt.speed,
-                                 ph.passive_step_accum);
+        ph.passive_ue.step(pt.time, ph.passive_step_accum, batch, row);
     ph.passive_step_accum = Millis{0.0};
     if (ph.passive_log_accum.value >= 1'000.0) {
       ph.passive_log_accum = Millis{0.0};
@@ -205,7 +156,8 @@ void Campaign::replay_bulk(PhoneSet& ph, const Trajectory& traj,
   auto& log = result_.logs[static_cast<std::size_t>(ph.op)];
   ph.test_ue.set_traffic(traffic);
   ph.flow.restart();
-  const auto server = servers_.select(ph.op, seg.start.position, seg.start.tz);
+  const auto server =
+      world_.servers().select(ph.op, seg.start.position, seg.start.tz);
   const std::size_t ho_base = ph.test_ue.handovers().size();
   std::size_t ho_window_base = ho_base;
   // Scratch reuse: one 500 ms window per ~25 slots, so seg.end - seg.begin
@@ -213,7 +165,7 @@ void Campaign::replay_bulk(PhoneSet& ph, const Trajectory& traj,
   std::vector<double>& window_tputs = ph.scratch.window_tputs;
   window_tputs.clear();
   window_tputs.reserve(seg.end - seg.begin);
-  const ran::SegmentBatch* batch = maybe_batch(ph, traj, seg);
+  const ran::SegmentBatch& batch = prepare_batch(ph, traj, seg);
   WindowAccum w;
   int hs5g_slots = 0;
   int total_slots = 0;
@@ -257,10 +209,7 @@ void Campaign::replay_bulk(PhoneSet& ph, const Trajectory& traj,
     window_elapsed += seg.slot;
     step_passive(ph, pt, seg.slot, batch, j - seg.begin);
 
-    const auto link =
-        batch != nullptr
-            ? ph.test_ue.step(pt.time, seg.slot, *batch, j - seg.begin)
-            : ph.test_ue.step(pt.time, pt.position, pt.speed, seg.slot);
+    const auto link = ph.test_ue.step(pt.time, seg.slot, batch, j - seg.begin);
     const Millis base_rtt =
         link.air_latency * 2.0 + server.one_way_delay * 2.0;
     const double bytes = ph.flow.step(seg.slot, link.phy_rate(dir), base_rtt);
@@ -278,7 +227,7 @@ void Campaign::replay_bulk(PhoneSet& ph, const Trajectory& traj,
     w.bytes += bytes;
     total_bytes += bytes;
 
-    if (window_elapsed.value >= cfg_.sample_window.value) {
+    if (window_elapsed.value >= cfg_.spec.timing.sample_window_ms) {
       flush_window(pt);
     }
   }
@@ -318,13 +267,14 @@ void Campaign::replay_rtt(PhoneSet& ph, const Trajectory& traj,
                           const TrajectorySegment& seg) {
   auto& log = result_.logs[static_cast<std::size_t>(ph.op)];
   ph.test_ue.set_traffic(ran::TrafficProfile::Idle);
-  const auto server = servers_.select(ph.op, seg.start.position, seg.start.tz);
+  const auto server =
+      world_.servers().select(ph.op, seg.start.position, seg.start.tz);
   const std::size_t ho_base = ph.test_ue.handovers().size();
   Millis since_ping{1e9};
   std::vector<double>& rtts = ph.scratch.rtts;
   rtts.clear();
   rtts.reserve(seg.end - seg.begin);
-  const ran::SegmentBatch* batch = maybe_batch(ph, traj, seg);
+  const ran::SegmentBatch& batch = prepare_batch(ph, traj, seg);
   int hs5g_slots = 0;
   int total_slots = 0;
 
@@ -332,14 +282,11 @@ void Campaign::replay_rtt(PhoneSet& ph, const Trajectory& traj,
     const TrajectoryPoint& pt = traj.points[j];
     step_passive(ph, pt, seg.slot, batch, j - seg.begin);
 
-    const auto link =
-        batch != nullptr
-            ? ph.test_ue.step(pt.time, seg.slot, *batch, j - seg.begin)
-            : ph.test_ue.step(pt.time, pt.position, pt.speed, seg.slot);
+    const auto link = ph.test_ue.step(pt.time, seg.slot, batch, j - seg.begin);
     ++total_slots;
     if (link.connected && radio::is_high_speed(link.tech)) ++hs5g_slots;
     since_ping += seg.slot;
-    if (since_ping.value >= cfg_.ping_interval.value) {
+    if (since_ping.value >= cfg_.spec.timing.ping_interval_ms) {
       since_ping = Millis{0.0};
       const auto rtt = net::ping_rtt(link, server.one_way_delay, ph.rng);
       RttSample s;
@@ -387,15 +334,11 @@ void Campaign::replay_rtt(PhoneSet& ph, const Trajectory& traj,
 void Campaign::replay_idle(PhoneSet& ph, const Trajectory& traj,
                            const TrajectorySegment& seg) {
   ph.test_ue.set_traffic(ran::TrafficProfile::Idle);
-  const ran::SegmentBatch* batch = maybe_batch(ph, traj, seg);
+  const ran::SegmentBatch& batch = prepare_batch(ph, traj, seg);
   for (std::size_t j = seg.begin; j < seg.end; ++j) {
     const TrajectoryPoint& pt = traj.points[j];
     step_passive(ph, pt, seg.slot, batch, j - seg.begin);
-    if (batch != nullptr) {
-      ph.test_ue.step(pt.time, seg.slot, *batch, j - seg.begin);
-    } else {
-      ph.test_ue.step(pt.time, pt.position, pt.speed, seg.slot);
-    }
+    ph.test_ue.step(pt.time, seg.slot, batch, j - seg.begin);
   }
 }
 
@@ -429,7 +372,10 @@ const CampaignResult& Campaign::run() {
   const std::int64_t record_start = obs::now_ns();
   const Trajectory traj = [&] {
     const obs::Span span("campaign.record");
-    return record_trajectory(trip_, corridor_, cfg_);
+    const Rng& root = world_.rng();
+    TripSimulator trip(world_.route(), world_.corridor(), root.fork("trip"),
+                       drive_from_spec(cfg_.spec));
+    return record_trajectory(trip, world_.corridor(), cfg_);
   }();
   campaign_metrics().record_us.add(elapsed_us(record_start));
 
@@ -456,7 +402,7 @@ const CampaignResult& Campaign::run() {
     log.unique_cells = cells.size();
     log.experiment_runtime = traj.total_drive_time;
   }
-  result_.route_length = route_.length();
+  result_.route_length = world_.route().length();
   result_.days = traj.days;
   result_.drive_time = traj.total_drive_time;
   ran_ = true;
@@ -473,16 +419,17 @@ StaticBaseline Campaign::run_static_baseline(OperatorId op) {
 
   StaticBaseline out;
   out.op = op;
-  const auto& dep = deployment(op);
-  const auto& profile = profiles_[static_cast<std::size_t>(op)];
+  const scenario::TimingSpec& timing = cfg_.spec.timing;
+  const Millis slot{timing.slot_ms};
+  const Rng& root = world_.rng();
   // wheels-rng: dynamic(per-operator static-baseline stream)
-  const Rng base = rng_.fork("static").fork(op_name);
+  const Rng base = root.fork("static").fork(op_name);
 
   struct CityRun {
     bool tested = false;
     std::vector<double> dl, ul, rtt;
   };
-  const auto& cities = route_.cities();
+  const auto& cities = world_.route().cities();
   std::vector<CityRun> runs(cities.size());
 
   parallel_for_each(jobs_, cities.size(), [&](std::size_t ci) {
@@ -491,37 +438,26 @@ StaticBaseline Campaign::run_static_baseline(OperatorId op) {
     city_span_name += '.';
     city_span_name += city.name;
     const obs::Span city_span(city_span_name);
-    // Find the best high-speed-5G site near the city center: the nearest
-    // mmWave cell within the urban core, else the nearest mid-band one.
-    const ran::Cell* site = nullptr;
-    for (Tech tech : {Tech::NR_MMWAVE, Tech::NR_MID}) {
-      double best_d = 22'000.0;  // urban-core radius
-      for (const auto& c : dep.cells(tech)) {
-        const double d = std::abs(c.route_pos.value - city.route_pos.value);
-        if (d < best_d) {
-          best_d = d;
-          site = &c;
-        }
-      }
-      if (site) break;  // prefer mmWave; fall back to mid-band
-    }
+    const ran::Cell* site = world_.best_5g_site(op, city);
     if (!site) return;  // operator-city combo skipped, like the study
     CityRun& cr = runs[ci];
     cr.tested = true;
 
     const Meters pos = site->route_pos;  // standing right by the site
+    const TimeZone tz = world_.corridor().at(pos).tz;
     CivilTime noon;
     noon.day = 1;
     noon.hour = 12;
-    SimTime t = from_civil(noon, corridor_.at(pos).tz);
-    const auto server = servers_.select(op, pos, corridor_.at(pos).tz);
+    SimTime t = from_civil(noon, tz);
+    const auto server = world_.servers().select(op, pos, tz);
 
     // Every stream this city consumes forks from its own label so cities
     // never race (or depend) on one another's draws.
     const Rng city_rng = base.fork(city.name);  // wheels-rng: dynamic(one stream per city)
-    ran::UeSimulator ue(corridor_, dep, profile, city_rng,
+    ran::UeSimulator ue(world_.corridor(), world_.deployment(op),
+                        world_.profile(op), city_rng,
                         ran::TrafficProfile::BackloggedDl, cfg_.spec.bands,
-                        regime_);
+                        world_.regime());
     ue.set_favourable_conditions(true);
     net::CubicFlow flow(city_rng.fork("tcp"));
     Rng ping_rng = city_rng.fork("ping");
@@ -533,16 +469,14 @@ StaticBaseline Campaign::run_static_baseline(OperatorId op) {
       flow.restart();
       double window_bytes = 0.0;
       Millis win{0.0};
-      for (Millis el{0.0}; el.value < cfg_.tput_test_duration.value;
-           el += cfg_.slot) {
-        const auto link = ue.step(t, pos, Mph{0.0}, cfg_.slot);
-        t += cfg_.slot;
+      for (Millis el{0.0}; el.value < timing.tput_test_ms; el += slot) {
+        const auto link = ue.step(t, pos, Mph{0.0}, slot);
+        t += slot;
         const Millis base_rtt =
             link.air_latency * 2.0 + server.one_way_delay * 2.0;
-        window_bytes +=
-            flow.step(cfg_.slot, link.phy_rate(dir), base_rtt);
-        win += cfg_.slot;
-        if (win.value >= cfg_.sample_window.value) {
+        window_bytes += flow.step(slot, link.phy_rate(dir), base_rtt);
+        win += slot;
+        if (win.value >= timing.sample_window_ms) {
           sink.push_back(window_bytes * 8.0 / win.value / 1e3);
           window_bytes = 0.0;
           win = Millis{0.0};
@@ -555,12 +489,11 @@ StaticBaseline Campaign::run_static_baseline(OperatorId op) {
     // RTT test (light ICMP traffic).
     ue.set_traffic(ran::TrafficProfile::Idle);
     Millis since_ping{1e9};
-    for (Millis el{0.0}; el.value < cfg_.rtt_test_duration.value;
-         el += cfg_.slot) {
-      const auto link = ue.step(t, pos, Mph{0.0}, cfg_.slot);
-      t += cfg_.slot;
-      since_ping += cfg_.slot;
-      if (since_ping.value >= cfg_.ping_interval.value) {
+    for (Millis el{0.0}; el.value < timing.rtt_test_ms; el += slot) {
+      const auto link = ue.step(t, pos, Mph{0.0}, slot);
+      t += slot;
+      since_ping += slot;
+      if (since_ping.value >= timing.ping_interval_ms) {
         since_ping = Millis{0.0};
         if (const auto rtt =
                 net::ping_rtt(link, server.one_way_delay, ping_rng)) {

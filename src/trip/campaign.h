@@ -18,45 +18,32 @@
 #include <vector>
 
 #include "core/rng.h"
-#include "net/server.h"
 #include "net/tcp_cubic.h"
-#include "ran/corridor.h"
-#include "ran/deployment.h"
 #include "ran/kernel.h"
 #include "ran/ue.h"
 #include "scenario/spec.h"
 #include "trip/records.h"
-#include "trip/region.h"
-#include "trip/route.h"
 #include "trip/trajectory.h"
-#include "trip/trip_simulator.h"
+#include "trip/world.h"
 
 namespace wheels::trip {
 
 struct CampaignConfig {
   std::uint64_t seed = 42;
-  Millis slot{20.0};  // PHY/TCP simulation slot during active tests
-  Millis tput_test_duration{30'000.0};
-  Millis rtt_test_duration{20'000.0};
-  Millis gap{3'000.0};
-  Millis ping_interval{200.0};
-  Millis sample_window{500.0};  // XCAL throughput logging period
   // Run every k-th test cycle and fast-forward the rest: k=1 reproduces
   // the full campaign; k=4 gives a 4x faster run with 1/4 of the samples
   // but the same geographic spread.
   int cycle_stride = 1;
-  DriveConfig drive{};
-  // The declarative scenario the campaign realizes. The timing/seed/drive
-  // fields above are *derived* from it by from_scenario(); the spec is the
-  // single owner of those values (the defaults here match paper-default so
-  // a plain CampaignConfig{} still reproduces the study).
+  // The declarative scenario the campaign realizes; every timing and drive
+  // value is read from it where it is used. The default reproduces the
+  // study.
   scenario::ScenarioSpec spec = scenario::paper_default();
   // Execution knobs (worker count) live outside this struct on purpose:
   // they must never affect the dataset fingerprint or the result bytes.
 
-  // Derive a config from a validated scenario. `cycle_stride` is an
-  // execution knob, not part of the scenario (it changes sample density,
-  // not the world being simulated).
+  // A config for a validated scenario at its own seed. `cycle_stride` is
+  // an execution knob, not part of the scenario (it changes sample
+  // density, not the world being simulated).
   static CampaignConfig from_scenario(const scenario::ScenarioSpec& spec,
                                       int cycle_stride = 1);
 };
@@ -113,18 +100,6 @@ class Campaign {
   void set_jobs(int jobs);
   [[nodiscard]] int jobs() const { return jobs_; }
 
-  // Select the batched structure-of-arrays replay kernel (the default) or
-  // the original per-slot scalar path. Like the jobs count this is an
-  // execution knob: both paths produce byte-identical results (pinned by
-  // tests/test_replay_kernel.cpp). Resolved from WHEELS_REPLAY_KERNEL at
-  // construction; call before run().
-  void set_replay_kernel(bool enabled) { use_kernel_ = enabled; }
-  [[nodiscard]] bool replay_kernel() const { return use_kernel_; }
-
-  [[nodiscard]] const Route& route() const { return route_; }
-  [[nodiscard]] const ran::Corridor& corridor() const { return corridor_; }
-  [[nodiscard]] const ran::Deployment& deployment(ran::OperatorId op) const;
-
  private:
   struct PhoneSet;  // per-operator UEs + TCP flow + bookkeeping
 
@@ -135,31 +110,19 @@ class Campaign {
                   const TrajectorySegment& seg);
   void replay_idle(PhoneSet& ph, const Trajectory& traj,
                    const TrajectorySegment& seg);
-  // `batch`/`row`, when given, route the passive UE through the batched
-  // step (geometry from the segment batch instead of per-slot lookups).
+  // The passive UE borrows the test UE's segment batch on its own cadence.
   void step_passive(PhoneSet& ph, const TrajectoryPoint& pt, Millis dt,
-                    const ran::SegmentBatch* batch, std::size_t row);
-  // Prepare the scratch batch for `seg` if the kernel is enabled and the
-  // segment is non-empty; returns the batch to replay with, or nullptr
-  // for the scalar path.
-  const ran::SegmentBatch* maybe_batch(PhoneSet& ph, const Trajectory& traj,
-                                       const TrajectorySegment& seg);
+                    const ran::SegmentBatch& batch, std::size_t row);
+  // Fill the phone set's scratch batch for `seg` (zero rows for an empty
+  // segment) and prefetch the test UE's shadowing for it.
+  const ran::SegmentBatch& prepare_batch(PhoneSet& ph, const Trajectory& traj,
+                                         const TrajectorySegment& seg);
 
   CampaignConfig cfg_;
-  Rng rng_;
-  Route route_;
-  ran::Corridor corridor_;
-  ran::LoadRegime regime_;
-  // Realized roster profiles, indexed like result_.logs. Declared before
-  // deployments_/phones_: both keep pointers/references into this array.
-  std::array<ran::OperatorProfile, 3> profiles_;
-  std::array<std::unique_ptr<ran::Deployment>, 3> deployments_;
-  net::ServerSelector servers_;
-  TripSimulator trip_;
+  World world_;  // declared before phones_: every UE refers into it
   std::vector<std::unique_ptr<PhoneSet>> phones_;
   CampaignResult result_;
   int jobs_ = 1;
-  bool use_kernel_ = true;  // ctor resolves WHEELS_REPLAY_KERNEL
   std::mutex run_mu_;
   bool ran_ = false;
 };

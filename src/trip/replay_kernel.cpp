@@ -1,8 +1,6 @@
 #include "trip/replay_kernel.h"
 
 #include <cstdint>
-#include <cstdlib>
-#include <string_view>
 
 #include "obs/clock.h"
 #include "obs/metrics.h"
@@ -29,11 +27,6 @@ KernelMetrics& kernel_metrics() {
 }
 
 }  // namespace
-
-bool replay_kernel_enabled_from_env() {
-  const char* v = std::getenv("WHEELS_REPLAY_KERNEL");
-  return v == nullptr || std::string_view(v) != "0";
-}
 
 void prepare_segment_batch(const Trajectory& traj, const TrajectorySegment& seg,
                            const ran::Deployment& dep,

@@ -6,11 +6,7 @@
 // speed, pre-resolved environment/timezone) straight out of the recorded
 // TrajectoryPoints and fills the per-layer nearest-cell columns with one
 // monotone sweep (ran::fill_nearest_cells). UEs then consume the batch via
-// ran::UeSimulator::begin_segment + the batched step overload. The kernel
-// is on by default and byte-identical to the scalar path; set
-// WHEELS_REPLAY_KERNEL=0 (or Campaign::set_replay_kernel(false)) to force
-// the original per-slot lookups, which is what bench_replay_kernel
-// measures against.
+// ran::UeSimulator::begin_segment + the batched step.
 #pragma once
 
 #include <vector>
@@ -21,9 +17,6 @@
 #include "trip/trajectory.h"
 
 namespace wheels::trip {
-
-// Default kernel enablement: on unless WHEELS_REPLAY_KERNEL=0.
-[[nodiscard]] bool replay_kernel_enabled_from_env();
 
 // Per-PhoneSet scratch, reused across every segment of the replay so the
 // hot loop performs no per-segment allocation once warm.

@@ -38,8 +38,12 @@ void record_segment(Trajectory& out, TripSimulator& trip,
 Trajectory record_trajectory(TripSimulator& trip, const ran::Corridor& corridor,
                              const CampaignConfig& cfg) {
   Trajectory out;
-  const Millis cycle{2.0 * cfg.tput_test_duration.value +
-                     cfg.rtt_test_duration.value + 3.0 * cfg.gap.value};
+  const scenario::TimingSpec& t = cfg.spec.timing;
+  const Millis slot{t.slot_ms};
+  const Millis tput{t.tput_test_ms};
+  const Millis rtt{t.rtt_test_ms};
+  const Millis gap{t.gap_ms};
+  const Millis cycle{2.0 * tput.value + rtt.value + 3.0 * gap.value};
   int cycle_no = 0;
   int test_id = 0;
   while (!trip.finished()) {
@@ -48,17 +52,17 @@ Trajectory record_trajectory(TripSimulator& trip, const ran::Corridor& corridor,
                      kIdleStep, cycle);
     } else {
       record_segment(out, trip, corridor, SegmentKind::BulkDl, test_id++,
-                     cfg.slot, cfg.tput_test_duration);
+                     slot, tput);
       record_segment(out, trip, corridor, SegmentKind::Gap, -1, kIdleStep,
-                     cfg.gap);
+                     gap);
       record_segment(out, trip, corridor, SegmentKind::BulkUl, test_id++,
-                     cfg.slot, cfg.tput_test_duration);
+                     slot, tput);
       record_segment(out, trip, corridor, SegmentKind::Gap, -1, kIdleStep,
-                     cfg.gap);
-      record_segment(out, trip, corridor, SegmentKind::Rtt, test_id++,
-                     cfg.slot, cfg.rtt_test_duration);
+                     gap);
+      record_segment(out, trip, corridor, SegmentKind::Rtt, test_id++, slot,
+                     rtt);
       record_segment(out, trip, corridor, SegmentKind::Gap, -1, kIdleStep,
-                     cfg.gap);
+                     gap);
     }
     ++cycle_no;
   }

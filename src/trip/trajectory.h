@@ -28,7 +28,7 @@ namespace wheels::trip {
 struct CampaignConfig;  // trip/campaign.h (which includes this header)
 
 // What the campaign was doing during a segment of the drive. Bulk and RTT
-// segments advance at CampaignConfig::slot; gaps and fast-forwarded cycles
+// segments advance at the scenario's slot; gaps and fast-forwarded cycles
 // advance at the coarse idle step.
 enum class SegmentKind : std::uint8_t {
   BulkDl,
@@ -92,8 +92,9 @@ struct Trajectory {
 // The coarse step used while idling between tests (gaps, fast-forward).
 inline constexpr Millis kIdleStep{100.0};
 
-// Execute the full test-cycle schedule of `cfg` against `trip`, recording
-// every slot. Consumes the trip (drives it to the end of the route).
+// Execute the full test-cycle schedule of `cfg` (the scenario's timing at
+// its cycle stride) against `trip`, recording every slot. Consumes the
+// trip (drives it to the end of the route).
 [[nodiscard]] Trajectory record_trajectory(TripSimulator& trip,
                                            const ran::Corridor& corridor,
                                            const CampaignConfig& cfg);

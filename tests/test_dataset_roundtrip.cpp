@@ -305,10 +305,10 @@ TEST(DatasetFingerprint, StableAndSensitive) {
   b.cycle_stride = 99;
   EXPECT_NE(fingerprint(a), fingerprint(b));
   b = a;
-  b.gap = Millis{1.0};
+  b.spec.timing.gap_ms = 1.0;
   EXPECT_NE(fingerprint(a), fingerprint(b));
   b = a;
-  b.drive.start_hour_local = 5;
+  b.spec.drive.start_hour_local = 5;
   EXPECT_NE(fingerprint(a), fingerprint(b));
 }
 

@@ -4,12 +4,15 @@
 
 #include "core/stats.h"
 #include "ran/deployment.h"
+#include "ran/kernel.h"
 
 namespace wheels::ran {
 namespace {
 
 using radio::Environment;
 using radio::Tech;
+
+constexpr std::size_t idx(Tech t) { return static_cast<std::size_t>(t); }
 
 // A long corridor with an urban core in the middle.
 Corridor test_corridor() {
@@ -74,14 +77,20 @@ TEST(Deployment, CellsSortedByPosition) {
 }
 
 TEST(Deployment, NearestCellMatchesBruteForce) {
+  // fill_nearest_cells over random, non-monotone positions: each backward
+  // jump reseeds the sweep, each forward one advances it.
   const Corridor c = test_corridor();
   const auto& prof = operator_profile(OperatorId::TMobile);
   const auto dep = Deployment::generate(c, prof, Rng(9));
   Rng probe(10);
-  for (int i = 0; i < 500; ++i) {
-    const Meters pos{probe.uniform(0.0, c.length().value)};
+  SegmentBatch batch;
+  batch.resize(500);
+  for (double& pos : batch.pos_m) pos = probe.uniform(0.0, c.length().value);
+  fill_nearest_cells(dep, prof, batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Meters pos{batch.pos_m[i]};
     for (Tech t : radio::kAllTechs) {
-      const Cell* fast = dep.nearest_cell(t, pos);
+      const Cell* fast = batch.layers[idx(t)].cell[i];
       // Brute force.
       const Cell* slow = nullptr;
       double best = 1e18;
@@ -95,6 +104,7 @@ TEST(Deployment, NearestCellMatchesBruteForce) {
       if (slow && best <= Deployment::service_range(t, prof).value) {
         ASSERT_NE(fast, nullptr);
         EXPECT_EQ(fast->id, slow->id);
+        EXPECT_EQ(batch.layers[idx(t)].dist_m[i], best);
       } else {
         EXPECT_EQ(fast, nullptr);
       }
@@ -144,11 +154,17 @@ TEST(Deployment, CoverageIsFragmented) {
   // With rural availability < 1 there must be stretches with no mid-band
   // service at all (coverage holes), not a uniform sprinkle.
   const Corridor c = test_corridor();
-  const auto dep = Deployment::generate(
-      c, operator_profile(OperatorId::TMobile), Rng(13));
-  int holes = 0, covered = 0;
+  const auto& prof = operator_profile(OperatorId::TMobile);
+  const auto dep = Deployment::generate(c, prof, Rng(13));
+  SegmentBatch batch;
   for (double pos = 0.0; pos < 100'000.0; pos += 1'000.0) {
-    if (dep.nearest_cell(Tech::NR_MID, Meters{pos})) {
+    batch.pos_m.push_back(pos);
+  }
+  batch.resize(batch.pos_m.size());
+  fill_nearest_cells(dep, prof, batch);
+  int holes = 0, covered = 0;
+  for (const Cell* cell : batch.layers[idx(Tech::NR_MID)].cell) {
+    if (cell) {
       ++covered;
     } else {
       ++holes;

@@ -31,6 +31,63 @@ std::vector<LinkSample> drive(UeSimulator& ue, double speed_mph,
   return out;
 }
 
+// The point step is a one-row batch. Over the same monotone walk (speed
+// changing per segment, one stop, a traffic switch per segment), a UE
+// stepped point by point and a same-seeded UE stepped through prefetched
+// segments must produce identical samples, handovers and seen cells.
+TEST(Ue, PointStepsMatchPrefetchedSegments) {
+  const Corridor c({
+      {Meters{0.0}, Meters{30'000.0}, Environment::Rural, TimeZone::Pacific},
+      {Meters{30'000.0}, Meters{60'000.0}, Environment::Urban,
+       TimeZone::Pacific},
+      {Meters{60'000.0}, Meters{300'000.0}, Environment::Suburban,
+       TimeZone::Mountain},
+  });
+  const auto& prof = operator_profile(OperatorId::TMobile);
+  const auto dep = Deployment::generate(c, prof, Rng(31));
+  const TrafficProfile traffic[] = {
+      TrafficProfile::BackloggedDl, TrafficProfile::BackloggedUl,
+      TrafficProfile::Interactive, TrafficProfile::Idle};
+  for (const double dt_ms : {20.0, 100.0, 700.0}) {
+    const Millis dt{dt_ms};
+    UeSimulator point(c, dep, prof, Rng(32));
+    UeSimulator batched(c, dep, prof, Rng(32));
+    Rng walk(33);
+    SegmentBatch batch;
+    SimTime t{0.0};
+    double pos = 0.0;
+    // Eight segments of 5 simulated minutes each.
+    const auto rows = static_cast<std::size_t>(300'000.0 / dt_ms);
+    for (int seg = 0; seg < 8; ++seg) {
+      const double speed = seg == 3 ? 0.0 : walk.uniform(10.0, 75.0);
+      batch.resize(rows);
+      for (std::size_t i = 0; i < rows; ++i) {
+        pos += Mph{speed}.meters_per_second() * dt.seconds();
+        const CorridorSegment& here = c.at(Meters{pos});
+        batch.pos_m[i] = pos;
+        batch.speed_mph[i] = speed;
+        batch.env[i] = here.env;
+        batch.tz[i] = here.tz;
+      }
+      fill_nearest_cells(dep, prof, batch);
+      point.set_traffic(traffic[seg % 4]);
+      batched.set_traffic(traffic[seg % 4]);
+      batched.begin_segment(batch);
+      for (std::size_t i = 0; i < rows; ++i) {
+        const LinkSample a = point.step(t, Meters{batch.pos_m[i]},
+                                        Mph{batch.speed_mph[i]}, dt);
+        const LinkSample b = batched.step(t, dt, batch, i);
+        ASSERT_TRUE(a == b) << "dt " << dt_ms << " segment " << seg
+                            << " row " << i;
+        t += dt;
+      }
+    }
+    EXPECT_FALSE(point.handovers().empty()) << "dt " << dt_ms;
+    EXPECT_EQ(point.handovers(), batched.handovers()) << "dt " << dt_ms;
+    EXPECT_EQ(point.seen_cells(), batched.seen_cells()) << "dt " << dt_ms;
+  }
+}
+
 TEST(Ue, AttachesAndProducesSaneSamples) {
   const Corridor c = uniform_corridor(Environment::Suburban);
   const auto& prof = operator_profile(OperatorId::Verizon);

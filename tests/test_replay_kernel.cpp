@@ -1,26 +1,17 @@
-// Equivalence proofs for the batched replay kernel.
+// Equivalence proofs for the cached KPI math of the replay kernel.
 //
-// Two layers of evidence that WHEELS_REPLAY_KERNEL is an execution knob
-// and not a model change: (1) unit sweeps pin every derived table and
-// cached mirror in src/radio/kernel.* to the scalar function it was
-// hoisted from, including the exact CQI/MCS decision boundaries; (2)
-// whole-campaign runs over every library scenario must produce
-// byte-identical datasets with the kernel on and off, and (kernel on)
-// across jobs counts -- the paper-default run additionally re-proves the
-// golden seed-42 stride-64 checksum.
+// Unit sweeps pin every derived table and cached mirror in
+// src/radio/kernel.* to the radio function it was hoisted from, including
+// the exact CQI/MCS decision boundaries. The UE steps only through these
+// mirrors; the per-dataset pins in tests/contract_pins.h pin the whole
+// chain end to end.
 #include <gtest/gtest.h>
 
-#include <string>
-
-#include "contract_pins.h"
-#include "dataset/serialize.h"
 #include "radio/band.h"
 #include "radio/kernel.h"
 #include "radio/mcs.h"
 #include "radio/pathloss.h"
 #include "radio/phy_rate.h"
-#include "scenario/spec.h"
-#include "trip/campaign.h"
 
 namespace wheels::radio {
 namespace {
@@ -99,68 +90,3 @@ TEST(ReplayKernelTable, PhyRateMatchesScalar) {
 
 }  // namespace
 }  // namespace wheels::radio
-
-namespace wheels::trip {
-namespace {
-
-std::string campaign_bytes(const scenario::ScenarioSpec& spec, int stride,
-                           bool kernel, int jobs) {
-  Campaign c(CampaignConfig::from_scenario(spec, stride));
-  c.set_replay_kernel(kernel);
-  c.set_jobs(jobs);
-  return dataset::encode(c.run());
-}
-
-void expect_kernel_matches_scalar(const std::string& name, int stride) {
-  const scenario::ScenarioSpec spec = scenario::load_scenario(name);
-  const std::string scalar = campaign_bytes(spec, stride, false, 1);
-  const std::string kernel = campaign_bytes(spec, stride, true, 1);
-  ASSERT_EQ(scalar.size(), kernel.size()) << name;
-  EXPECT_TRUE(scalar == kernel)
-      << "scenario " << name
-      << " diverged between the scalar and batched replay paths";
-}
-
-TEST(ReplayKernel, PaperDefaultMatchesScalarAndGolden) {
-  const scenario::ScenarioSpec spec = scenario::paper_default();
-  const std::string scalar =
-      campaign_bytes(spec, contract::kGoldenStride, false, 1);
-  const std::string kernel =
-      campaign_bytes(spec, contract::kGoldenStride, true, 1);
-  EXPECT_TRUE(scalar == kernel)
-      << "paper-default diverged between scalar and batched replay";
-  EXPECT_EQ(dataset::fnv1a(kernel), contract::kGoldenCampaignChecksum);
-}
-
-TEST(ReplayKernel, UrbanLoopMatchesScalar) {
-  expect_kernel_matches_scalar("urban-loop", 16);
-}
-
-TEST(ReplayKernel, CommuterCorridorMatchesScalar) {
-  expect_kernel_matches_scalar("commuter-corridor", 32);
-}
-
-TEST(ReplayKernel, HighwayConvoyMatchesScalar) {
-  expect_kernel_matches_scalar("highway-convoy", 64);
-}
-
-TEST(ReplayKernel, EuBandPlanMatchesScalar) {
-  expect_kernel_matches_scalar("eu-band-plan", 32);
-}
-
-TEST(ReplayKernel, DegradedCoverageStormMatchesScalar) {
-  expect_kernel_matches_scalar("degraded-coverage-storm", 32);
-}
-
-TEST(ReplayKernel, MatchesAcrossJobs) {
-  // Kernel on, jobs 1 vs 4: the batched path must stay independent of the
-  // worker count (the tsan-parallel preset runs this under ThreadSanitizer).
-  const scenario::ScenarioSpec spec = scenario::load_scenario("urban-loop");
-  const std::string jobs1 = campaign_bytes(spec, 16, true, 1);
-  const std::string jobs4 = campaign_bytes(spec, 16, true, 4);
-  EXPECT_TRUE(jobs1 == jobs4)
-      << "batched replay diverged between jobs=1 and jobs=4";
-}
-
-}  // namespace
-}  // namespace wheels::trip

@@ -166,32 +166,33 @@ TEST(ScenarioSpecTest, FingerprintsAreDistinctAcrossBuiltins) {
 }
 
 TEST(ScenarioSpecTest, PaperDefaultConfigMatchesLegacyDefaults) {
-  // Satellite #2 of the refactor: CampaignConfig's timing fields are now
-  // derived from the spec. A from_scenario(paper_default()) config must be
-  // indistinguishable from a default-constructed legacy config.
+  // A from_scenario(paper_default()) config must be indistinguishable from
+  // a default-constructed one, down to the dataset fingerprint.
   const trip::CampaignConfig legacy;
   const trip::CampaignConfig derived =
       trip::CampaignConfig::from_scenario(paper_default(), 1);
   EXPECT_EQ(derived.seed, legacy.seed);
-  EXPECT_EQ(derived.slot.value, legacy.slot.value);
-  EXPECT_EQ(derived.tput_test_duration.value, legacy.tput_test_duration.value);
-  EXPECT_EQ(derived.rtt_test_duration.value, legacy.rtt_test_duration.value);
-  EXPECT_EQ(derived.gap.value, legacy.gap.value);
-  EXPECT_EQ(derived.ping_interval.value, legacy.ping_interval.value);
-  EXPECT_EQ(derived.sample_window.value, legacy.sample_window.value);
   EXPECT_EQ(derived.cycle_stride, legacy.cycle_stride);
-  EXPECT_EQ(derived.drive.hours_per_day, legacy.drive.hours_per_day);
-  EXPECT_EQ(derived.drive.start_hour_local, legacy.drive.start_hour_local);
-  EXPECT_EQ(derived.drive.speed.urban_mph, legacy.drive.speed.urban_mph);
-  EXPECT_EQ(derived.drive.speed.max_mph, legacy.drive.speed.max_mph);
+  EXPECT_EQ(scenario_hash(derived.spec), scenario_hash(legacy.spec));
   EXPECT_EQ(dataset::fingerprint(derived), dataset::fingerprint(legacy));
 
   const apps::AppCampaignConfig alegacy;
   const apps::AppCampaignConfig aderived =
       apps::AppCampaignConfig::from_scenario(paper_default(), 1);
   EXPECT_EQ(aderived.seed, alegacy.seed);
-  EXPECT_EQ(aderived.gap.value, alegacy.gap.value);
   EXPECT_EQ(dataset::fingerprint(aderived), dataset::fingerprint(alegacy));
+}
+
+TEST(ScenarioSpecTest, DriveFromSpecMatchesLegacyDefaults) {
+  // drive_from_spec(paper_default()) is the DriveConfig the study drove.
+  const trip::DriveConfig legacy;
+  const trip::DriveConfig derived = trip::drive_from_spec(paper_default());
+  EXPECT_EQ(derived.hours_per_day, legacy.hours_per_day);
+  EXPECT_EQ(derived.start_hour_local, legacy.start_hour_local);
+  EXPECT_EQ(derived.speed.urban_mph, legacy.speed.urban_mph);
+  EXPECT_EQ(derived.speed.suburban_mph, legacy.speed.suburban_mph);
+  EXPECT_EQ(derived.speed.rural_mph, legacy.speed.rural_mph);
+  EXPECT_EQ(derived.speed.max_mph, legacy.speed.max_mph);
 }
 
 TEST(ScenarioSpecTest, LoadScenarioResolvesBuiltinsAndRejectsUnknown) {

@@ -36,7 +36,7 @@ struct TripUnderTest {
   explicit TripUnderTest(const CampaignConfig& cfg)
       : rng(cfg.seed),
         corridor(build_corridor(route, rng.fork("corridor"))),
-        trip(route, corridor, rng.fork("trip"), cfg.drive) {}
+        trip(route, corridor, rng.fork("trip"), drive_from_spec(cfg.spec)) {}
 };
 
 // Transcription of the sequential campaign loop (pre-record/replay): the
@@ -53,19 +53,23 @@ std::vector<TrajectoryPoint> sequential_walk(TripUnderTest& t,
       pts.push_back({pt.time, pt.position, pt.speed, pt.day, c.tz, c.env});
     }
   };
-  const Millis cycle{2.0 * cfg.tput_test_duration.value +
-                     cfg.rtt_test_duration.value + 3.0 * cfg.gap.value};
+  const scenario::TimingSpec& timing = cfg.spec.timing;
+  const Millis slot{timing.slot_ms};
+  const Millis tput{timing.tput_test_ms};
+  const Millis rtt{timing.rtt_test_ms};
+  const Millis gap{timing.gap_ms};
+  const Millis cycle{2.0 * tput.value + rtt.value + 3.0 * gap.value};
   int cycle_no = 0;
   while (!t.trip.finished()) {
     if (cfg.cycle_stride > 1 && (cycle_no % cfg.cycle_stride) != 0) {
       advance_for(cycle, kIdleStep);
     } else {
-      advance_for(cfg.tput_test_duration, cfg.slot);
-      advance_for(cfg.gap, kIdleStep);
-      advance_for(cfg.tput_test_duration, cfg.slot);
-      advance_for(cfg.gap, kIdleStep);
-      advance_for(cfg.rtt_test_duration, cfg.slot);
-      advance_for(cfg.gap, kIdleStep);
+      advance_for(tput, slot);
+      advance_for(gap, kIdleStep);
+      advance_for(tput, slot);
+      advance_for(gap, kIdleStep);
+      advance_for(rtt, slot);
+      advance_for(gap, kIdleStep);
     }
     ++cycle_no;
   }
@@ -115,7 +119,7 @@ TEST(Trajectory, SegmentsTileThePointsInScheduleOrder) {
   ASSERT_GE(traj.segments.size(), std::size_t{7});
   EXPECT_EQ(traj.segments[0].kind, SegmentKind::BulkDl);
   EXPECT_EQ(traj.segments[0].test_id, 0);
-  EXPECT_EQ(traj.segments[0].slot.value, cfg.slot.value);
+  EXPECT_EQ(traj.segments[0].slot.value, cfg.spec.timing.slot_ms);
   EXPECT_EQ(slots(0), 1500u);  // 30 s / 20 ms
   EXPECT_EQ(traj.segments[1].kind, SegmentKind::Gap);
   EXPECT_EQ(traj.segments[1].test_id, -1);

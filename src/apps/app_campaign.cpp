@@ -1,6 +1,12 @@
 #include "apps/app_campaign.h"
 
+#include <iterator>
+#include <string>
+
 #include "apps/accuracy.h"
+#include "core/thread_pool.h"
+#include "obs/trace.h"
+#include "ran/kernel.h"
 
 namespace wheels::apps {
 namespace {
@@ -8,6 +14,12 @@ namespace {
 using ran::OperatorId;
 
 constexpr Millis kArFrameInterval{1'000.0 / 30.0};
+
+// Idle fast-forward cadence, and the most rows an idle batch holds before
+// it is stepped: the cap keeps a long skipped stretch from growing the
+// batch (and the UE's shadowing rows) with it.
+constexpr Millis kIdleStep{100.0};
+constexpr std::size_t kIdleBatchRows = 256;
 
 // Fill the app-specific metric fields of a record.
 void fill_offload(AppRunRecord& rec, const OffloadRunResult& r,
@@ -35,12 +47,17 @@ AppCampaignConfig AppCampaignConfig::from_scenario(
 }
 
 AppCampaign::AppCampaign(AppCampaignConfig cfg)
-    : cfg_(std::move(cfg)), world_(cfg_.spec, cfg_.seed) {}
+    : cfg_(std::move(cfg)),
+      world_(cfg_.spec, cfg_.seed),
+      jobs_(resolve_jobs()) {}
+
+void AppCampaign::set_jobs(int jobs) { jobs_ = resolve_jobs(jobs); }
 
 const AppCampaignResult& AppCampaign::run() {
+  const std::lock_guard<std::mutex> lock(run_mu_);
   if (ran_) return result_;
-  ran_ = true;
-  AppCampaignResult& result = result_;
+  // A run that threw left partial records behind; start from empty.
+  result_ = AppCampaignResult{};
   const Rng& root = world_.rng();
   const trip::DriveConfig drive = trip::drive_from_spec(cfg_.spec);
   const Millis gap_len{cfg_.spec.timing.gap_ms};
@@ -57,9 +74,15 @@ const AppCampaignResult& AppCampaign::run() {
                         (mix.gaming ? 60'000.0 : 0.0) +
                         gap_count * gap_len.value};
 
-  for (OperatorId op : ran::kAllOperators) {
-    const auto oi = static_cast<std::size_t>(op);
+  // One phone per worker. Phones share only the read-only World, fork
+  // every stream they draw from, and write only their own runs slot.
+  parallel_for_each(jobs_, ran::kAllOperators.size(), [&](std::size_t oi) {
+    const OperatorId op = ran::kAllOperators[oi];
     const scenario::OperatorSpec& ospec = cfg_.spec.operators[oi];
+    std::string span_name = "apps.campaign.";
+    span_name += ospec.name;
+    const obs::Span span(span_name);
+    std::vector<AppRunRecord>& runs = result_.runs[oi];
     // Same trip seed for every operator: the phones share the car.
     trip::TripSimulator trip(world_.route(), world_.corridor(),
                              root.fork("trip"), drive);
@@ -78,13 +101,40 @@ const AppCampaignResult& AppCampaign::run() {
       return ue.step(pt.time, pt.position, pt.speed, dt);
     };
 
+    // Idle fast-forward: the drive advances in 100 ms steps into this
+    // phone's batch, which is stepped through the batched chain whenever
+    // it fills and at the end of the gap. The trip and the UE draw from
+    // disjoint streams, so advancing the trip ahead of the UE changes no
+    // bytes.
+    ran::SegmentBatch idle;
+    std::vector<SimTime> idle_time(kIdleBatchRows);
+    std::size_t idle_rows = 0;
+    const auto step_idle = [&] {
+      if (idle_rows == 0) return;
+      idle.resize(idle_rows);
+      ran::fill_nearest_cells(world_.deployment(op), world_.profile(op),
+                              idle);
+      ue.begin_segment(idle);
+      for (std::size_t row = 0; row < idle_rows; ++row) {
+        ue.step(idle_time[row], kIdleStep, idle, row);
+      }
+      idle_rows = 0;
+    };
     auto gap = [&](Millis duration) {
       ue.set_traffic(ran::TrafficProfile::Idle);
       for (Millis el{0.0}; el.value < duration.value && !trip.finished();
-           el += Millis{100.0}) {
-        const auto pt = trip.advance(Millis{100.0});
-        ue.step(pt.time, pt.position, pt.speed, Millis{100.0});
+           el += kIdleStep) {
+        const auto pt = trip.advance(kIdleStep);
+        if (idle_rows == 0) idle.resize(kIdleBatchRows);
+        const ran::CorridorSegment& here = world_.corridor().at(pt.position);
+        idle.pos_m[idle_rows] = pt.position.value;
+        idle.speed_mph[idle_rows] = pt.speed.value;
+        idle.env[idle_rows] = here.env;
+        idle.tz[idle_rows] = here.tz;
+        idle_time[idle_rows] = pt.time;
+        if (++idle_rows == kIdleBatchRows) step_idle();
       }
+      step_idle();
       ue.set_traffic(ran::TrafficProfile::Interactive);
     };
 
@@ -129,7 +179,7 @@ const AppCampaignResult& AppCampaign::run() {
           fill_offload(rec, r, is_ar, compression);
           rec.handovers =
               static_cast<int>(ue.handovers().size() - ho_base);
-          result.runs[oi].push_back(std::move(rec));
+          runs.push_back(std::move(rec));
           gap(gap_len);
         }
       }
@@ -144,7 +194,7 @@ const AppCampaignResult& AppCampaign::run() {
         rec.rebuffer_fraction = r.rebuffer_fraction;
         rec.frac_high_speed_5g = r.frac_high_speed_5g;
         rec.handovers = static_cast<int>(ue.handovers().size() - ho_base);
-        result.runs[oi].push_back(std::move(rec));
+        runs.push_back(std::move(rec));
         gap(gap_len);
       }
 
@@ -160,26 +210,38 @@ const AppCampaignResult& AppCampaign::run() {
         rec.frame_drop_rate = r.frame_drop_rate;
         rec.frac_high_speed_5g = r.frac_high_speed_5g;
         rec.handovers = static_cast<int>(ue.handovers().size() - ho_base);
-        result.runs[oi].push_back(std::move(rec));
+        runs.push_back(std::move(rec));
         gap(gap_len);
       }
     }
-  }
-  return result;
+  });
+  ran_ = true;
+  return result_;
 }
 
 std::vector<AppRunRecord> AppCampaign::run_static_baseline(OperatorId op) {
-  std::vector<AppRunRecord> out;
   const scenario::AppMixSpec& mix = cfg_.spec.apps;
   const scenario::OperatorSpec& ospec =
       cfg_.spec.operators[static_cast<std::size_t>(op)];
+  std::string baseline_span_name = "apps.baseline.";
+  baseline_span_name += ospec.name;
   const Rng& root = world_.rng();
   // wheels-rng: dynamic(per-operator static-baseline stream)
   Rng srng = root.fork(ospec.name).fork("static-apps");
 
-  for (const auto& city : world_.route().cities()) {
+  // Every stream a city consumes forks from srng.fork(city.name), so
+  // cities run on their own workers into their own record vectors.
+  const auto& cities = world_.route().cities();
+  std::vector<std::vector<AppRunRecord>> per_city(cities.size());
+  parallel_for_each(jobs_, cities.size(), [&](std::size_t ci) {
+    const auto& city = cities[ci];
+    std::string city_span_name = baseline_span_name;
+    city_span_name += '.';
+    city_span_name += city.name;
+    const obs::Span city_span(city_span_name);
     const ran::Cell* site = world_.best_5g_site(op, city);
-    if (!site) continue;
+    if (!site) return;
+    std::vector<AppRunRecord>& out = per_city[ci];
 
     const Meters pos = site->route_pos;
     const TimeZone tz = world_.corridor().at(pos).tz;
@@ -253,6 +315,14 @@ std::vector<AppRunRecord> AppCampaign::run_static_baseline(OperatorId op) {
         out.push_back(std::move(rec));
       }
     }
+  });
+
+  // Merge in route (city) order: the output is a pure function of the
+  // config, never of worker scheduling.
+  std::vector<AppRunRecord> out;
+  for (std::vector<AppRunRecord>& records : per_city) {
+    out.insert(out.end(), std::make_move_iterator(records.begin()),
+               std::make_move_iterator(records.end()));
   }
   return out;
 }

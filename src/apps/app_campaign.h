@@ -5,10 +5,18 @@
 // Cycle per operator: AR w/o compression, AR w/ compression, CAV w/o,
 // CAV w/ (20 s each), 360-video (180 s), cloud gaming (60 s), separated by
 // short gaps -- the study's round-robin of §3.
+//
+// Execution model (DESIGN.md "Parallel execution model"): run() steps each
+// operator's phone on its own worker and run_static_baseline() fans out
+// per city, like the drive campaign. Every stream a phone or city draws
+// from is forked from the World's root, and each writes only its own
+// result slot, so the bytes are the same for any jobs count. Idle gaps
+// and skipped cycles fast-forward through a phone-owned SegmentBatch.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "apps/gaming.h"
@@ -95,18 +103,28 @@ class AppCampaign {
  public:
   explicit AppCampaign(AppCampaignConfig cfg = AppCampaignConfig{});
 
-  // Run the driving campaign for all three operators (idempotent: the
-  // first call simulates, later calls return the same result). The
-  // reference stays valid for the lifetime of the AppCampaign.
+  // Run the driving campaign for all three operators, one phone per worker
+  // (idempotent and safe to call from several threads: the first call
+  // simulates, later calls return the same result). The reference stays
+  // valid for the lifetime of the AppCampaign.
   const AppCampaignResult& run();
 
   // Best-static baselines: several runs next to the best high-speed-5G
-  // site of each major city; the study quotes the best run.
+  // site of each major city; the study quotes the best run. Cities fan
+  // out across workers; records are merged in route order.
   std::vector<AppRunRecord> run_static_baseline(ran::OperatorId op);
+
+  // Worker threads used by run()/run_static_baseline. jobs <= 0 resolves
+  // from WHEELS_JOBS (default 1). Changing it never changes results, only
+  // wall-clock time.
+  void set_jobs(int jobs);
+  [[nodiscard]] int jobs() const { return jobs_; }
 
  private:
   AppCampaignConfig cfg_;
   trip::World world_;
+  int jobs_ = 1;
+  std::mutex run_mu_;  // guards result_ and ran_
   AppCampaignResult result_;
   bool ran_ = false;
 };

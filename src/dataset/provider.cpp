@@ -237,6 +237,10 @@ std::shared_ptr<const apps::AppCampaignResult> CampaignProvider::resolve_apps(
       app_results_, app_result_flights_, DatasetKind::AppCampaign, fp, 0,
       ran::OperatorId::Verizon, SimKind::Campaign, [&] {
         apps::AppCampaign campaign(cfg);
+        {
+          const std::lock_guard<std::mutex> lock(mu_);
+          campaign.set_jobs(jobs_);
+        }
         return std::make_shared<apps::AppCampaignResult>(campaign.run());
       });
 }
@@ -249,6 +253,10 @@ CampaignProvider::resolve_apps_static(const apps::AppCampaignConfig& cfg,
       app_baselines_, app_baseline_flights_, DatasetKind::AppStaticBaseline,
       fp, op_index(op), op, SimKind::Baseline, [&] {
         apps::AppCampaign campaign(cfg);
+        {
+          const std::lock_guard<std::mutex> lock(mu_);
+          campaign.set_jobs(jobs_);
+        }
         return std::make_shared<std::vector<apps::AppRunRecord>>(
             campaign.run_static_baseline(op));
       });

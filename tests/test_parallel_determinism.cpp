@@ -6,15 +6,20 @@
 //
 // These tests are also the tsan workload: the tsan-parallel preset runs
 // the *MatchesAcrossJobs tests with WHEELS_JOBS=4 to prove the replay
-// workers share no unsynchronized state.
+// workers (the drive campaign's and the app campaign's) share no
+// unsynchronized state.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <thread>
 
+#include "apps/app_campaign.h"
 #include "contract_pins.h"
 #include "dataset/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "scenario/spec.h"
 #include "trip/campaign.h"
 
 namespace wheels::trip {
@@ -148,6 +153,94 @@ TEST(ParallelDeterminism, GoldenChecksumWithObservabilityEnabled) {
   obs::clear_trace_events();
   EXPECT_EQ(checksum, contract::kGoldenCampaignChecksum)
       << "campaign with tracing enabled produced 0x" << std::hex << checksum;
+}
+
+// The app campaign's phones and per-city app baselines run on workers
+// too. A short library scenario at stride 64 keeps these cheap enough for
+// the tsan preset while covering every app family and segment kind.
+constexpr std::string_view kAppScenario = "eu-band-plan";
+constexpr int kAppStride = 64;
+
+std::uint64_t app_pin(std::string_view kind, std::string_view op = "") {
+  for (const contract::DatasetPin& pin : contract::kDatasetPins) {
+    if (pin.scenario == kAppScenario && pin.kind == kind && pin.op == op) {
+      EXPECT_EQ(pin.stride, kAppStride);
+      return pin.checksum;
+    }
+  }
+  ADD_FAILURE() << "no " << kind << " pin for " << kAppScenario;
+  return 0;
+}
+
+apps::AppCampaignConfig app_cfg() {
+  return apps::AppCampaignConfig::from_scenario(
+      scenario::load_scenario(std::string(kAppScenario)), kAppStride);
+}
+
+TEST(ParallelDeterminism, AppCampaignMatchesAcrossJobs) {
+  apps::AppCampaign sequential(app_cfg());
+  sequential.set_jobs(1);
+  const std::string bytes1 = dataset::encode(sequential.run());
+
+  apps::AppCampaign parallel(app_cfg());
+  parallel.set_jobs(4);
+  ASSERT_EQ(parallel.jobs(), 4);
+  const std::string bytes4 = dataset::encode(parallel.run());
+
+  EXPECT_TRUE(bytes1 == bytes4)
+      << "jobs=4 app campaign diverged from jobs=1: a phone is reading "
+         "another phone's state";
+  const std::uint64_t checksum = dataset::fnv1a(bytes1);
+  EXPECT_EQ(checksum, app_pin("app-campaign"))
+      << "app campaign produced 0x" << std::hex << checksum;
+}
+
+TEST(ParallelDeterminism, AppStaticBaselinesMatchAcrossJobs) {
+  apps::AppCampaign sequential(app_cfg());
+  sequential.set_jobs(1);
+  apps::AppCampaign parallel(app_cfg());
+  parallel.set_jobs(4);
+
+  for (auto op : ran::kAllOperators) {
+    const std::string bytes1 =
+        dataset::encode(sequential.run_static_baseline(op));
+    const std::string bytes4 =
+        dataset::encode(parallel.run_static_baseline(op));
+    EXPECT_TRUE(bytes1 == bytes4)
+        << "app static baseline for " << to_string(op)
+        << " diverged across jobs: a city is consuming another city's "
+           "RNG stream";
+    const std::uint64_t checksum = dataset::fnv1a(bytes1);
+    EXPECT_EQ(checksum, app_pin("app-static-baseline", to_string(op)))
+        << to_string(op) << " app static baseline produced 0x" << std::hex
+        << checksum;
+  }
+}
+
+TEST(ParallelDeterminism, AppCampaignRunIsSafeFromTwoThreads) {
+  // run() simulates once under its run mutex: a caller that arrives while
+  // the first run is in flight waits for the complete result instead of
+  // returning a half-filled one.
+  apps::AppCampaign c(app_cfg());
+  c.set_jobs(4);
+  const apps::AppCampaignResult* first = nullptr;
+  const apps::AppCampaignResult* second = nullptr;
+  std::string bytes_first;
+  std::string bytes_second;
+  std::thread a([&] {
+    first = &c.run();
+    bytes_first = dataset::encode(*first);
+  });
+  std::thread b([&] {
+    second = &c.run();
+    bytes_second = dataset::encode(*second);
+  });
+  a.join();
+  b.join();
+  EXPECT_EQ(first, second);
+  EXPECT_TRUE(bytes_first == bytes_second)
+      << "a concurrent run() returned a different result";
+  EXPECT_EQ(dataset::fnv1a(bytes_first), app_pin("app-campaign"));
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ RNG = os.path.join(REPO_ROOT, "tools", "wheels_rng.py")
 FIXTURES = os.path.join(TESTS_DIR, "fixtures", "rng")
 
 sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
-from wheels_rng import fnv1a  # noqa: E402
+from wheels_rng import classify_header, fnv1a  # noqa: E402
 
 
 def run_rng(root, *extra):
@@ -218,6 +218,35 @@ class UnlabeledFork(unittest.TestCase):
         code, out, _ = self.run_snippet(
             "// wheels-rng: dynamic(one stream per city)\n      ")
         self.assertEqual(code, 0, out)
+
+
+class LambdaFixture(unittest.TestCase):
+    """A lambda body belongs to its enclosing function, whatever callee
+    the lambda is passed to."""
+
+    def test_captured_stream_chains_to_its_real_root(self):
+        code, out, _ = run_rng("lambda", "--dot")
+        self.assertEqual(code, 0, out)
+        self.assertIn('"seed:src/fan.cpp:fan_out:root/static/?city/tcp"',
+                      out)
+        self.assertNotIn("extern:", out)
+
+    def test_collision_across_two_lambdas_fires(self):
+        code, out, _ = run_rng("lambda")
+        self.assertEqual(code, 1, out)
+        self.assertIn("src/fan.cpp:32: [fork-collision]", out)
+        self.assertIn("collides with src/fan.cpp:28", out)
+        self.assertIn("'seed:src/fan.cpp:fan_out:root'", out)
+
+    def test_functions_stay_functions(self):
+        self.assertEqual(classify_header("void f(int x[])"),
+                         ("function", "f"))
+        self.assertEqual(
+            classify_header("void Grid::fill(double (&cells)[4])"),
+            ("function", "Grid::fill"))
+        self.assertEqual(
+            classify_header("pool.run(n, [&, this](int i) mutable")[0],
+            "block")
 
 
 class MemberCopy(unittest.TestCase):

@@ -114,8 +114,9 @@ fi
 # Whole-program fork-graph rules (fork-collision, rng-by-value,
 # draw-in-unordered, unlabeled-fork, fork-graph-drift against the pinned
 # tools/rng_graph.json), preceded by the analyzer's fixture tests.
-# Outside --quick, additionally generates the seed-42 stride-64 campaign
-# twice (jobs=1 and jobs=4, cold caches) with the runtime audit armed and
+# Outside --quick, additionally generates the seed-42 stride-64 datasets
+# (campaign, static baselines, app campaign and app baselines) twice
+# (jobs=1 and jobs=4, cold caches) with the runtime audit armed and
 # cross-checks both JSONL fork trees: every runtime edge must exist in
 # the static graph, zero provenance conflicts, and per-stream draw counts
 # must be identical across the two jobs values.
@@ -136,7 +137,7 @@ if [[ "${WHEELS_CI_RNG:-1}" == 1 ]]; then
       for J in 1 4; do
         WHEELS_DATASET_DIR="$RNG_DIR/cache-$J" \
         WHEELS_RNG_AUDIT_OUT="$RNG_DIR/trace-$J.jsonl" \
-          "$CLI" generate --stride 64 --jobs "$J" --skip-apps --skip-static \
+          "$CLI" generate --stride 64 --apps-stride 64 --jobs "$J" \
           --dir "$RNG_DIR/cache-$J" >/dev/null || RNG_OK=0
       done
       if [[ "$RNG_OK" == 1 ]]; then
@@ -222,22 +223,23 @@ if [[ "${WHEELS_CI_SCENARIO:-1}" == 1 ]]; then
 fi
 
 # --- Stage 7: trace validation ---------------------------------------------
-# Runs the stride-64 Fig.3 bench cold with WHEELS_TRACE armed and checks
-# the exported Chrome trace_event file: parseable JSON, spans nest
-# monotonically within each thread lane, and every phase the contract
-# registry's required_span_prefixes names actually shows up. Catches
-# exporter regressions that the unit tests' synthetic clocks cannot.
+# Generates every dataset of a short library scenario cold at stride 64
+# and jobs=2 with --trace armed and checks the exported Chrome trace_event
+# file: parseable JSON, spans nest monotonically within each thread lane,
+# and every phase the contract registry's required_span_prefixes names
+# (drive replay, app phones, per-city baselines, cache) actually shows up.
+# Catches exporter regressions that the unit tests' synthetic clocks
+# cannot.
 if [[ "${WHEELS_CI_TRACE:-1}" == 1 ]]; then
-  banner "trace validation (stride-64 bench with WHEELS_TRACE)"
+  banner "trace validation (stride-64 generate with --trace)"
   cmake --preset default >/dev/null
-  if cmake --build --preset default -j "$JOBS" \
-      --target bench_fig3_static_vs_driving; then
+  if cmake --build --preset default -j "$JOBS" --target wheels_campaign; then
     TRACE_DIR=build/ci-trace
     rm -rf "$TRACE_DIR" && mkdir -p "$TRACE_DIR"
     TRACE_OK=1
-    WHEELS_DATASET_DIR="$TRACE_DIR/cache" \
-    WHEELS_TRACE="$TRACE_DIR/trace.json" \
-      ./build/bench/bench_fig3_static_vs_driving 64 >/dev/null \
+    build/tools/wheels_campaign generate --scenario eu-band-plan \
+      --stride 64 --apps-stride 64 --jobs 2 --dir "$TRACE_DIR/cache" \
+      --trace "$TRACE_DIR/trace.json" >/dev/null \
       || TRACE_OK=0
     if [[ "$TRACE_OK" == 1 ]]; then
       python3 tools/validate_trace.py "$TRACE_DIR/trace.json" \

@@ -155,10 +155,35 @@ class Span:
     parent: "Span | None" = None
 
 
+# A lambda introducer ending a header: captures, optional parameter list,
+# specifiers and trailing return type, as in
+# `parallel_for_each(jobs, n, [&](std::size_t i) {`.
+LAMBDA_TAIL_RE = re.compile(
+    r"\[[^\[\]]*\]\s*(?:\((?:[^()]|\([^()]*\))*\)\s*)?"
+    r"(?:(?:mutable|constexpr|consteval|noexcept|static)\b\s*)*"
+    r"(?:->\s*[^{};]+?\s*)?$")
+
+
+def ends_with_lambda(h: str) -> bool:
+    """True when the header ends in a lambda introducer. A '[' right after
+    an identifier, ']' or ')' is a subscript or array declarator (this
+    also rules out `operator[](...)`), not a capture list."""
+    m = LAMBDA_TAIL_RE.search(h)
+    if m is None:
+        return False
+    before = h[:m.start()].rstrip()
+    return not before or not (before[-1].isalnum() or before[-1] in "_])")
+
+
 def classify_header(header: str) -> tuple[str, str]:
-    """Classify the text between the previous boundary and a '{'."""
+    """Classify the text between the previous boundary and a '{'. A
+    lambda body is a block of its enclosing function, so a stream it
+    captures resolves to that function's locals, not to the callee the
+    lambda is passed to."""
     h = header.strip()
     if not h or h.endswith("=") or h.endswith(",") or h.endswith("("):
+        return "block", ""
+    if ends_with_lambda(h):
         return "block", ""
     first = re.match(r"[A-Za-z_]\w*", h)
     if first and first.group(0) in CONTROL_KEYWORDS:

@@ -45,8 +45,10 @@ std::vector<Hs5gBucket> by_hs5g_share(
     bk.hi = static_cast<double>(b + 1) / static_cast<double>(buckets);
     bk.count = vals[b].size();
     if (!vals[b].empty()) {
-      bk.median = percentile(vals[b], 50.0);
-      bk.p90 = percentile(vals[b], 90.0);
+      double pct[2];
+      percentiles(vals[b], std::array{50.0, 90.0}, pct);
+      bk.median = pct[0];
+      bk.p90 = pct[1];
     }
     out.push_back(bk);
   }

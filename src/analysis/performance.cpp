@@ -1,6 +1,7 @@
 #include "analysis/performance.h"
 
 #include <algorithm>
+#include <array>
 
 namespace wheels::analysis {
 
@@ -62,9 +63,11 @@ std::vector<SpeedBinStats> summarize(
       s.tech = static_cast<radio::Tech>(t);
       s.bin = b;
       s.count = v.size();
-      s.p10 = percentile(v, 10.0);
-      s.median = percentile(v, 50.0);
-      s.p90 = percentile(v, 90.0);
+      double pct[3];
+      percentiles(v, std::array{10.0, 50.0, 90.0}, pct);
+      s.p10 = pct[0];
+      s.median = pct[1];
+      s.p90 = pct[2];
       s.max = *std::max_element(v.begin(), v.end());
       out.push_back(s);
     }

@@ -47,15 +47,18 @@ double RunningStats::cv_percent() const {
   return mean_ != 0.0 ? 100.0 * stddev() / std::abs(mean_) : 0.0;
 }
 
-double percentile(std::span<const double> xs, double p) {
-  if (xs.empty() || std::isnan(p)) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  std::vector<double> v(xs.begin(), xs.end());
-  for (double x : v) {
-    if (std::isnan(x)) return std::numeric_limits<double>::quiet_NaN();
-  }
-  std::sort(v.begin(), v.end());
+namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+bool has_nan(std::span<const double> xs) {
+  return std::any_of(xs.begin(), xs.end(),
+                     [](double x) { return std::isnan(x); });
+}
+
+// R-7 percentile of non-empty, sorted, NaN-free samples.
+double sorted_percentile(std::span<const double> v, double p) {
+  if (std::isnan(p)) return kNaN;
   if (p <= 0.0) return v.front();
   if (p >= 100.0) return v.back();
   const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
@@ -63,6 +66,30 @@ double percentile(std::span<const double> xs, double p) {
   const double frac = rank - static_cast<double>(lo);
   if (lo + 1 >= v.size()) return v.back();
   return v[lo] + frac * (v[lo + 1] - v[lo]);
+}
+
+}  // namespace
+
+void percentiles(std::span<const double> xs, std::span<const double> ps,
+                 std::span<double> out) {
+  if (out.size() != ps.size()) {
+    throw std::invalid_argument("percentiles: need one output per rank");
+  }
+  if (xs.empty() || has_nan(xs)) {
+    std::fill(out.begin(), out.end(), kNaN);
+    return;
+  }
+  std::vector<double> v(xs.begin(), xs.end());
+  std::sort(v.begin(), v.end());
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    out[i] = sorted_percentile(v, ps[i]);
+  }
+}
+
+double percentile(std::span<const double> xs, double p) {
+  double out = kNaN;
+  percentiles(xs, {&p, 1}, {&out, 1});
+  return out;
 }
 
 double median(std::span<const double> xs) { return percentile(xs, 50.0); }
@@ -102,7 +129,8 @@ double EmpiricalCdf::at(double x) const {
 }
 
 double EmpiricalCdf::quantile(double p) const {
-  return percentile(sorted_, p * 100.0);
+  if (sorted_.empty() || has_nan(sorted_)) return kNaN;
+  return sorted_percentile(sorted_, p * 100.0);
 }
 
 double EmpiricalCdf::min() const {

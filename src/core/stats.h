@@ -66,6 +66,12 @@ class RunningStats {
 // so rejecting them explicitly beats returning an arbitrary rank.
 [[nodiscard]] double percentile(std::span<const double> xs, double p);
 
+// Several percentiles of one sample set: out[i] is percentile(xs, ps[i]),
+// bit for bit, from a single copy and sort of `xs`. `out` must hold one
+// element per rank.
+void percentiles(std::span<const double> xs, std::span<const double> ps,
+                 std::span<double> out);
+
 // Convenience: median.
 [[nodiscard]] double median(std::span<const double> xs);
 

@@ -1,5 +1,7 @@
 #include "dataset/cache.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -7,7 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <memory>
 #include <system_error>
 
 #include "obs/metrics.h"
@@ -70,6 +72,48 @@ bool is_per_operator(DatasetKind kind) {
          kind == DatasetKind::AppStaticBaseline;
 }
 
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+using File = std::unique_ptr<std::FILE, FileCloser>;
+
+// The verified payload of the cache file at `path`, or nullopt. The header
+// is checked against the file's size before anything is allocated, so a
+// header claiming more bytes than the file holds is a miss, never a huge
+// allocation; the payload is then read in one call straight into the
+// string that is returned.
+std::optional<std::string> read_payload(const std::string& path,
+                                        DatasetKind kind,
+                                        std::uint64_t fingerprint) {
+  // O_NONBLOCK so that a FIFO planted at a cache path is refused below
+  // instead of blocking the open until a writer appears; a regular file's
+  // reads ignore the flag.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  const File f(::fdopen(fd, "rb"));
+  if (!f) {
+    ::close(fd);
+    return std::nullopt;
+  }
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) return std::nullopt;
+  char head[kHeaderBytes];
+  if (std::fread(head, 1, sizeof head, f.get()) != sizeof head) {
+    return std::nullopt;
+  }
+  const auto header =
+      accept_header(std::string_view(head, sizeof head),
+                    static_cast<std::uint64_t>(st.st_size), kind, fingerprint);
+  if (!header) return std::nullopt;
+  std::string payload(static_cast<std::size_t>(header->payload_bytes), '\0');
+  if (std::fread(payload.data(), 1, payload.size(), f.get()) !=
+      payload.size()) {
+    return std::nullopt;
+  }
+  if (fnv1a(payload) != header->checksum) return std::nullopt;
+  return payload;
+}
+
 }  // namespace
 
 std::string resolve_cache_dir(const std::string& dir) {
@@ -100,27 +144,15 @@ std::optional<std::string> DatasetCache::load(DatasetKind kind,
                                               std::uint64_t fingerprint,
                                               ran::OperatorId op) const {
   const obs::Span span("dataset.cache.load", "dataset");
-  const std::string path = path_for(kind, fingerprint, op);
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    cache_metrics().misses.inc();
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (!is.good() && !is.eof()) {
-    cache_metrics().misses.inc();
-    return std::nullopt;
-  }
-  const std::string file = std::move(buf).str();
-  const auto payload = unwrap_dataset(file, kind, fingerprint);
-  if (!payload) {  // corrupt/stale: caller re-simulates
+  auto payload = read_payload(path_for(kind, fingerprint, op), kind,
+                              fingerprint);
+  if (!payload) {  // missing/corrupt/stale: caller re-simulates
     cache_metrics().misses.inc();
     return std::nullopt;
   }
   cache_metrics().hits.inc();
-  cache_metrics().bytes_read.add(file.size());
-  return std::string(*payload);
+  cache_metrics().bytes_read.add(kHeaderBytes + payload->size());
+  return payload;
 }
 
 std::optional<std::string> DatasetCache::store(DatasetKind kind,
@@ -140,13 +172,16 @@ std::optional<std::string> DatasetCache::store(DatasetKind kind,
   static std::atomic<unsigned> counter{0};
   const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
                           std::to_string(counter.fetch_add(1));
-  const std::string file = wrap_dataset(kind, fingerprint, payload);
+  // Header then payload, straight from the caller's buffer: the payload
+  // is never copied into a file image.
+  const std::string header = encode_header(kind, fingerprint, payload);
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     if (!os) return std::nullopt;
-    os.write(file.data(), static_cast<std::streamsize>(file.size()));
-    if (!os.good()) {
-      os.close();
+    os.write(header.data(), static_cast<std::streamsize>(header.size()));
+    os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    os.close();
+    if (!os) {
       fs::remove(tmp, ec);
       return std::nullopt;
     }
@@ -156,7 +191,7 @@ std::optional<std::string> DatasetCache::store(DatasetKind kind,
     fs::remove(tmp, ec);
     return std::nullopt;
   }
-  cache_metrics().bytes_written.add(file.size());
+  cache_metrics().bytes_written.add(header.size() + payload.size());
   return path;
 }
 

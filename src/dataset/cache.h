@@ -40,6 +40,8 @@ class DatasetCache {
 
   // Load + validate an entry; nullopt on miss, corruption, version or
   // fingerprint mismatch. Returns the raw payload (serialize.h decodes it).
+  // The header is checked against the file's size before the payload is
+  // allocated, then the payload is read in one call into the result.
   [[nodiscard]] std::optional<std::string> load(DatasetKind kind,
                                                 std::uint64_t fingerprint,
                                                 ran::OperatorId op) const;

@@ -2,29 +2,21 @@
 
 #include <bit>
 #include <cstddef>
+#include <cstring>
 #include <limits>
 
 namespace wheels::dataset {
 namespace {
 
 // Fixed little-endian byte order, independent of the host, so datasets are
-// portable between machines (and checksums comparable in CI).
+// portable between machines (and checksums comparable in CI). On a
+// little-endian host a fixed-width field is its in-memory bytes, copied
+// whole; elsewhere it is assembled one byte at a time.
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      u8(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-    }
-  }
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      u8(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-    }
-  }
-
+  void u32(std::uint32_t v) { fixed(v); }
+  void u64(std::uint64_t v) { fixed(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void i32(int v) { i64(v); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
@@ -34,9 +26,25 @@ class ByteWriter {
   [[nodiscard]] std::string take() { return std::move(out_); }
 
  private:
+  template <typename T>
+  void fixed(T v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      char bytes[sizeof(T)];
+      std::memcpy(bytes, &v, sizeof(T));
+      out_.append(bytes, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        u8(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
+      }
+    }
+  }
+
   std::string out_;
 };
 
+// Every read checks the bytes left once; a read past the end sets a sticky
+// failure flag and yields 0, so a decoder can run a whole record and test
+// failed() afterwards.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
@@ -49,22 +57,8 @@ class ByteReader {
     return static_cast<std::uint8_t>(data_[pos_++]);
   }
 
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-    }
-    return v;
-  }
-
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-    }
-    return v;
-  }
-
+  std::uint32_t u32() { return fixed<std::uint32_t>(); }
+  std::uint64_t u64() { return fixed<std::uint64_t>(); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
   int i32() {
@@ -91,7 +85,7 @@ class ByteReader {
   // attempting a multi-gigabyte reserve on a corrupt file).
   std::size_t size(std::size_t min_elem_bytes) {
     const std::uint64_t n = u64();
-    const std::size_t left = data_.size() - std::min(pos_, data_.size());
+    const std::size_t left = data_.size() - pos_;
     if (min_elem_bytes > 0 && n > left / min_elem_bytes) {
       fail_ = true;
       return 0;
@@ -111,8 +105,27 @@ class ByteReader {
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
 
  private:
+  template <typename T>
+  T fixed() {
+    if (data_.size() - pos_ < sizeof(T)) {
+      fail_ = true;
+      return 0;
+    }
+    const char* p = data_.data() + pos_;
+    pos_ += sizeof(T);
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, p, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        v |= static_cast<T>(static_cast<std::uint8_t>(p[i])) << (8 * i);
+      }
+    }
+    return v;
+  }
+
   std::string_view data_;
-  std::size_t pos_ = 0;
+  std::size_t pos_ = 0;  // never past data_.size()
   bool fail_ = false;
 };
 
@@ -342,9 +355,7 @@ bool get_vec(ByteReader& r, std::vector<T>& v) {
   v.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (r.failed()) return false;
-    T e;
-    get(r, e);
-    v.push_back(std::move(e));
+    get(r, v.emplace_back());
   }
   return !r.failed();
 }
@@ -468,8 +479,8 @@ bool decode(std::string_view payload, std::vector<apps::AppRunRecord>& out) {
   return get_vec(r, out) && r.exhausted();
 }
 
-std::string wrap_dataset(DatasetKind kind, std::uint64_t fingerprint,
-                         std::string_view payload) {
+std::string encode_header(DatasetKind kind, std::uint64_t fingerprint,
+                          std::string_view payload) {
   ByteWriter w;
   for (char c : kMagic) w.u8(static_cast<std::uint8_t>(c));
   w.u32(kSchemaVersion);
@@ -477,14 +488,15 @@ std::string wrap_dataset(DatasetKind kind, std::uint64_t fingerprint,
   w.u64(fingerprint);
   w.u64(payload.size());
   w.u64(fnv1a(payload));
-  std::string out = w.take();
+  return w.take();
+}
+
+std::string wrap_dataset(DatasetKind kind, std::uint64_t fingerprint,
+                         std::string_view payload) {
+  std::string out = encode_header(kind, fingerprint, payload);
   out.append(payload);
   return out;
 }
-
-namespace {
-constexpr std::size_t kHeaderBytes = 4 + 4 + 1 + 8 + 8 + 8;
-}  // namespace
 
 std::optional<DatasetHeader> parse_header(std::string_view file) {
   if (file.size() < kHeaderBytes) return std::nullopt;
@@ -502,18 +514,31 @@ std::optional<DatasetHeader> parse_header(std::string_view file) {
   return h;
 }
 
-std::optional<std::string_view> unwrap_dataset(
-    std::string_view file, DatasetKind expected_kind,
-    std::uint64_t expected_fingerprint) {
-  const auto h = parse_header(file);
+std::optional<DatasetHeader> accept_header(std::string_view head,
+                                           std::uint64_t file_bytes,
+                                           DatasetKind expected_kind,
+                                           std::uint64_t expected_fingerprint) {
+  const auto h = parse_header(head);
   if (!h) return std::nullopt;
   if (h->version != kSchemaVersion) return std::nullopt;
   if (h->kind != expected_kind) return std::nullopt;
   if (expected_fingerprint != 0 && h->fingerprint != expected_fingerprint) {
     return std::nullopt;
   }
+  if (file_bytes < kHeaderBytes ||
+      h->payload_bytes != file_bytes - kHeaderBytes) {
+    return std::nullopt;
+  }
+  return h;
+}
+
+std::optional<std::string_view> unwrap_dataset(
+    std::string_view file, DatasetKind expected_kind,
+    std::uint64_t expected_fingerprint) {
+  const auto h =
+      accept_header(file, file.size(), expected_kind, expected_fingerprint);
+  if (!h) return std::nullopt;
   const std::string_view payload = file.substr(kHeaderBytes);
-  if (payload.size() != h->payload_bytes) return std::nullopt;
   if (fnv1a(payload) != h->checksum) return std::nullopt;
   return payload;
 }

@@ -10,6 +10,7 @@
 // never to a wrong figure.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -68,6 +69,16 @@ struct DatasetHeader {
                           std::vector<apps::AppRunRecord>& out);
 
 // --- container --------------------------------------------------------------
+// Bytes of the container header that precedes every payload: magic, schema
+// version, kind, fingerprint, payload length and checksum.
+inline constexpr std::size_t kHeaderBytes = 4 + 4 + 1 + 8 + 8 + 8;
+
+// The container header for `payload`; the file image is this header
+// followed by the payload bytes.
+[[nodiscard]] std::string encode_header(DatasetKind kind,
+                                        std::uint64_t fingerprint,
+                                        std::string_view payload);
+
 // Prepend the header to an encoded payload, producing the full file image.
 [[nodiscard]] std::string wrap_dataset(DatasetKind kind,
                                        std::uint64_t fingerprint,
@@ -77,9 +88,18 @@ struct DatasetHeader {
 // is too short or the magic/version tag is unrecognisable.
 [[nodiscard]] std::optional<DatasetHeader> parse_header(std::string_view file);
 
-// Validate the container end-to-end (magic, version, kind, fingerprint,
-// length, checksum) and return a view of the payload. `expected_fingerprint`
-// of 0 skips the fingerprint match (any config accepted).
+// Every rule a file's header must pass before its payload is touched:
+// magic, schema version, kind, fingerprint (`expected_fingerprint` 0
+// accepts any config) and a payload length equal to what the file holds
+// after the header. `head` holds at least the first kHeaderBytes of a file
+// of `file_bytes` bytes. The checksum is left to the caller, which checks
+// it once the payload is in memory.
+[[nodiscard]] std::optional<DatasetHeader> accept_header(
+    std::string_view head, std::uint64_t file_bytes, DatasetKind expected_kind,
+    std::uint64_t expected_fingerprint);
+
+// Validate the container end-to-end (accept_header, then the checksum) and
+// return a view of the payload.
 [[nodiscard]] std::optional<std::string_view> unwrap_dataset(
     std::string_view file, DatasetKind expected_kind,
     std::uint64_t expected_fingerprint);

@@ -1,5 +1,6 @@
 #include "serve/router.h"
 
+#include <array>
 #include <cstdlib>
 #include <exception>
 #include <limits>
@@ -128,10 +129,12 @@ Reply Router::run_kpi(const KpiQuery& q) {
   KpiReply k;
   k.count = xs.size();
   k.mean = mean_of(xs);
-  k.p10 = percentile(xs, 10.0);
-  k.p50 = percentile(xs, 50.0);
-  k.p90 = percentile(xs, 90.0);
-  k.p99 = percentile(xs, 99.0);
+  double pct[4];
+  percentiles(xs, std::array{10.0, 50.0, 90.0, 99.0}, pct);
+  k.p10 = pct[0];
+  k.p50 = pct[1];
+  k.p90 = pct[2];
+  k.p99 = pct[3];
   return k;
 }
 
@@ -155,8 +158,10 @@ Reply Router::run_region(const RegionSliceQuery& q) {
     RegionRow row;
     row.tz = tz;
     row.count = xs.size();
-    row.median = percentile(xs, 50.0);
-    row.p90 = percentile(xs, 90.0);
+    double pct[2];
+    percentiles(xs, std::array{50.0, 90.0}, pct);
+    row.median = pct[0];
+    row.p90 = pct[1];
     rr.rows.push_back(row);
   }
   return rr;

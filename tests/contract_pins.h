@@ -91,4 +91,33 @@ inline constexpr std::array<DatasetPin, 47> kDatasetPins{{
     {"degraded-coverage-storm", "app-static-baseline", "AT&T", 64, 0x3d3e51e44a83e8e5ULL},
 }};
 
+// Exact work of resolving every dataset of one library scenario: the
+// Det::Stable counter deltas of a cold pass into an empty cache, then of a
+// warm pass over the cache it left. An extra load, an extra simulation or
+// a changed byte count fails the test that asserts them.
+struct WorkCount {
+  std::string_view pass;
+  std::string_view metric;
+  std::int64_t value;
+};
+
+inline constexpr std::string_view kWorkCountScenario = "eu-band-plan";
+inline constexpr int kWorkCountStride = 64;
+inline constexpr std::array<WorkCount, 14> kWorkCounts{{
+    {"cold", "dataset.cache.bytes_read", 0},
+    {"cold", "dataset.cache.bytes_written", 3081366},
+    {"cold", "dataset.cache.hits", 0},
+    {"cold", "dataset.cache.misses", 8},
+    {"cold", "dataset.provider.baseline_simulations", 6},
+    {"cold", "dataset.provider.campaign_simulations", 2},
+    {"cold", "dataset.provider.disk_hits", 0},
+    {"warm", "dataset.cache.bytes_read", 3081366},
+    {"warm", "dataset.cache.bytes_written", 0},
+    {"warm", "dataset.cache.hits", 8},
+    {"warm", "dataset.cache.misses", 0},
+    {"warm", "dataset.provider.baseline_simulations", 0},
+    {"warm", "dataset.provider.campaign_simulations", 0},
+    {"warm", "dataset.provider.disk_hits", 8},
+}};
+
 }  // namespace wheels::contract

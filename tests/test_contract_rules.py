@@ -247,6 +247,98 @@ class DatasetPins(unittest.TestCase):
             self.assertEqual(code, 0, out)
 
 
+class WorkCounts(unittest.TestCase):
+    """The optional work_counts registry section: the exact counter deltas
+    of a cold then a warm pass, rendered into the pins header and checked
+    for shape, declared metric prefixes, and a warm pass that reads back
+    what the cold pass wrote. Exercised on temp copies of the good fixture
+    (whose one metric prefix is `sim.`; its registry has no work_counts)."""
+
+    COLD = {"sim.runs": 2, "dataset.cache.bytes_written": 100}
+    WARM = {"sim.runs": 0, "dataset.cache.bytes_read": 100}
+
+    def make_root(self, tmp, work_counts):
+        root = os.path.join(tmp, "good")
+        shutil.copytree(os.path.join(FIXTURES, "good"), root)
+        reg_path = os.path.join(root, "tools", "contracts.json")
+        with open(reg_path, encoding="utf-8") as f:
+            reg = json.load(f)
+        reg["metric_prefixes"].append("dataset.cache.")
+        reg["work_counts"] = work_counts
+        with open(reg_path, "w", encoding="utf-8") as f:
+            json.dump(reg, f, indent=2)
+        # The code that registers the cache's byte counters.
+        with open(os.path.join(root, "src", "cache.cpp"), "w",
+                  encoding="utf-8") as f:
+            f.write('void f() { reg.counter("dataset.cache.bytes_read"); }\n')
+        return root
+
+    def section(self, cold=None, warm=None, **extra):
+        cold = dict(self.COLD if cold is None else cold)
+        warm = dict(self.WARM if warm is None else warm)
+        # Both passes pin the same counters.
+        cold.setdefault("dataset.cache.bytes_read", 0)
+        warm.setdefault("dataset.cache.bytes_written", 0)
+        return dict({"scenario": "alpha", "stride": 64,
+                     "passes": {"cold": cold, "warm": warm}}, **extra)
+
+    def fixed(self, root):
+        code, out, err = run_contract_at(root, "--fix-pins")
+        self.assertEqual(code, 0, out + err)
+        code, out, err = run_contract_at(root, "--fix-docs")
+        self.assertEqual(code, 0, out + err)
+        return run_contract_at(root)
+
+    def test_counts_render_into_the_header(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = self.make_root(tmp, self.section())
+            code, out, _ = run_contract_at(root)
+            self.assertEqual(code, 1, out)
+            self.assertIn("[pins-stale]", out)
+            code, out, _ = self.fixed(root)
+            self.assertEqual(code, 0, out)
+            with open(os.path.join(root, "tests", "contract_pins.h"),
+                      encoding="utf-8") as f:
+                header = f.read()
+            self.assertIn('kWorkCountScenario = "alpha";', header)
+            self.assertIn("kWorkCountStride = 64;", header)
+            self.assertIn("std::array<WorkCount, 6> kWorkCounts", header)
+            self.assertIn('{"cold", "sim.runs", 2},', header)
+            self.assertIn('{"warm", "dataset.cache.bytes_read", 100},',
+                          header)
+            self.assertIn("#include <array>", header)
+
+    def test_malformed_sections_fire(self):
+        cases = (
+            (self.section(stride=0), "stride must be a positive integer"),
+            ({"scenario": "alpha", "stride": 64,
+              "passes": {"warm": self.WARM, "cold": self.COLD}},
+             "exactly cold and warm"),
+            (self.section(cold=dict(self.COLD, **{"sim.runs": -1})),
+             "must be a non-negative integer"),
+            (self.section(cold=dict(self.COLD, **{"other.count": 1}),
+                          warm=dict(self.WARM, **{"other.count": 1})),
+             "other.count starts with no declared metric prefix"),
+            (self.section(warm=dict(self.WARM, **{"sim.extra": 0})),
+             "must pin the same counters"),
+        )
+        for section, needle in cases:
+            with tempfile.TemporaryDirectory() as tmp:
+                code, out, _ = self.fixed(self.make_root(tmp, section))
+                self.assertEqual(code, 1, out)
+                self.assertIn("[registry]", out)
+                self.assertIn(needle, out)
+
+    def test_warm_read_differing_from_cold_write_fires(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            warm = dict(self.WARM, **{"dataset.cache.bytes_read": 99})
+            code, out, _ = self.fixed(
+                self.make_root(tmp, self.section(warm=warm)))
+            self.assertEqual(code, 1, out)
+            self.assertIn("warm dataset.cache.bytes_read is 99 but the cold "
+                          "pass wrote 100", out)
+
+
 class OutputFormats(unittest.TestCase):
     def test_findings_serialize_with_rule_path_line_message(self):
         code, out, _ = run_contract("drifted_golden", "--format=json")

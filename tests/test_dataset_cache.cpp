@@ -1,20 +1,24 @@
 // Provider/cache integration at the smoke stride: a warm cache must serve
 // byte-identical data without simulating, corruption must degrade to
-// re-simulation, and the seed-42 stride-64 dataset is pinned by checksum
-// so an accidental change to any stochastic process (or to the encoder)
-// is caught here rather than as a silent drift of every figure.
+// re-simulation, the seed-42 stride-64 dataset is pinned by checksum so an
+// accidental change to any stochastic process (or to the encoder) is
+// caught here rather than as a silent drift of every figure, and the exact
+// work of a cold and a warm pass is pinned by its counters.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "contract_pins.h"
 #include "dataset/cache.h"
 #include "dataset/fingerprint.h"
 #include "dataset/provider.h"
 #include "dataset/serialize.h"
+#include "obs/metrics.h"
+#include "scenario/spec.h"
 
 namespace wheels::dataset {
 namespace {
@@ -163,6 +167,58 @@ TEST(DatasetCache, EnvVariableDisablesDiskCache) {
   reader.load_or_run_static(cfg, ran::OperatorId::Verizon);
   EXPECT_EQ(reader.baseline_simulations(), 0);
   EXPECT_EQ(reader.disk_hits(), 1);
+}
+
+std::int64_t counter(const obs::Snapshot& snap, std::string_view name) {
+  const obs::MetricValue* mv = snap.find(name);
+  return mv != nullptr ? mv->value : 0;
+}
+
+// Every dataset `wheels_campaign generate` resolves for one scenario.
+void resolve_every_dataset(CampaignProvider& p,
+                           const trip::CampaignConfig& cfg,
+                           const apps::AppCampaignConfig& app_cfg) {
+  p.load_or_run(cfg);
+  for (auto op : ran::kAllOperators) p.load_or_run_static(cfg, op);
+  p.load_or_run_apps(app_cfg);
+  for (auto op : ran::kAllOperators) p.load_or_run_apps_static(app_cfg, op);
+}
+
+// The Det::Stable deltas of a cold pass (empty cache) and then a warm pass
+// (a fresh provider over the cache the cold pass left) must equal
+// tools/contracts.json work_counts exactly: simulations, disk hits, cache
+// hits and misses, and the bytes moved. A second load or decode, an extra
+// simulation or a changed byte count fails here on any host and any
+// WHEELS_JOBS.
+TEST(DatasetCache, WorkCountsMatchPins) {
+  const scenario::ScenarioSpec spec =
+      scenario::load_scenario(std::string(contract::kWorkCountScenario));
+  const auto cfg =
+      trip::CampaignConfig::from_scenario(spec, contract::kWorkCountStride);
+  const auto app_cfg = apps::AppCampaignConfig::from_scenario(
+      spec, contract::kWorkCountStride);
+  ProviderOptions o;
+  o.cache_dir = "dataset-work-counts-test";
+  fs::remove_all(o.cache_dir);
+  for (const std::string_view pass : {"cold", "warm"}) {
+    const obs::Snapshot before = obs::Registry::global().snapshot();
+    {
+      CampaignProvider provider(o);
+      resolve_every_dataset(provider, cfg, app_cfg);
+    }
+    const obs::Snapshot after = obs::Registry::global().snapshot();
+    int pinned = 0;
+    for (const contract::WorkCount& wc : contract::kWorkCounts) {
+      if (wc.pass != pass) continue;
+      ++pinned;
+      EXPECT_EQ(counter(after, wc.metric) - counter(before, wc.metric),
+                wc.value)
+          << pass << " pass: " << wc.metric;
+    }
+    EXPECT_GT(pinned, 0) << "no work counts pinned for the " << pass
+                         << " pass";
+  }
+  fs::remove_all(o.cache_dir);
 }
 
 }  // namespace

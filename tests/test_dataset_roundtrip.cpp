@@ -1,14 +1,23 @@
 // Dataset serialization: byte-exact round-trips for every record type,
-// container/header validation, and fingerprint stability. Everything here
-// runs on synthetic records (no simulation), so it stays in the fast tier.
+// container/header validation, hostile cache files and payload mutation,
+// and fingerprint stability. Everything here runs on synthetic records (no
+// simulation), so it stays in the fast tier.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/rng.h"
 #include "dataset/cache.h"
 #include "dataset/fingerprint.h"
 #include "dataset/serialize.h"
+#include "obs/metrics.h"
 
 namespace wheels::dataset {
 namespace {
@@ -292,6 +301,197 @@ TEST(DatasetContainer, RejectsMismatches) {
       static_cast<char>(corrupt[file.size() - 1] ^ 0x5a);
   EXPECT_FALSE(
       unwrap_dataset(corrupt, DatasetKind::StaticBaseline, fp).has_value());
+}
+
+// --- hostile cache files ----------------------------------------------------
+// A file at a cache path is outside input: whatever it holds, load() must
+// count a miss and return nullopt (the caller re-simulates), never throw,
+// crash or size a buffer from an unchecked header.
+
+std::int64_t metric(std::string_view name) {
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  const obs::MetricValue* mv = snap.find(name);
+  return mv != nullptr ? mv->value : 0;
+}
+
+class HostileCacheFile : public ::testing::Test {
+ protected:
+  static constexpr DatasetKind kKind = DatasetKind::StaticBaseline;
+  static constexpr std::uint64_t kFp = 0x5eed5eed5eed5eedULL;
+  static constexpr OperatorId kOp = OperatorId::TMobile;
+
+  // ctest runs each test of this binary as its own, possibly concurrent,
+  // process: one directory per test.
+  HostileCacheFile()
+      : dir_(std::string("dataset-hostile-") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name()),
+        cache_(dir_.string()),
+        payload_(encode(make_static_baseline())),
+        file_(wrap_dataset(kKind, kFp, payload_)) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  ~HostileCacheFile() override { std::filesystem::remove_all(dir_); }
+
+  [[nodiscard]] std::string path() const {
+    return cache_.path_for(kKind, kFp, kOp);
+  }
+
+  void write(std::string_view bytes) const {
+    std::ofstream os(path(), std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  // The file now at path() must be one miss and nothing else.
+  void expect_miss(const std::string& what) const {
+    const std::int64_t misses = metric("dataset.cache.misses");
+    const std::int64_t hits = metric("dataset.cache.hits");
+    const std::int64_t bytes = metric("dataset.cache.bytes_read");
+    std::optional<std::string> got;
+    EXPECT_NO_THROW(got = cache_.load(kKind, kFp, kOp)) << what;
+    EXPECT_FALSE(got.has_value()) << what;
+    EXPECT_EQ(metric("dataset.cache.misses"), misses + 1) << what;
+    EXPECT_EQ(metric("dataset.cache.hits"), hits) << what;
+    EXPECT_EQ(metric("dataset.cache.bytes_read"), bytes) << what;
+  }
+
+  // Both readers apply the same header rules: the in-memory unwrap must
+  // refuse the same bytes the file load refused.
+  void expect_rejected(const std::string& bytes, const std::string& what) {
+    write(bytes);
+    expect_miss(what);
+    EXPECT_FALSE(unwrap_dataset(bytes, kKind, kFp).has_value()) << what;
+  }
+
+  // The header with its payload_bytes field rewritten to `claim`.
+  [[nodiscard]] std::string claiming(std::uint64_t claim) const {
+    std::string f = file_;
+    constexpr std::size_t kAt = 4 + 4 + 1 + 8;  // magic, version, kind, fp
+    for (std::size_t i = 0; i < 8; ++i) {
+      f[kAt + i] = static_cast<char>((claim >> (8 * i)) & 0xFFu);
+    }
+    return f;
+  }
+
+  std::filesystem::path dir_;
+  DatasetCache cache_;
+  std::string payload_;
+  std::string file_;
+};
+
+TEST_F(HostileCacheFile, IntactFileIsOneHit) {
+  write(file_);
+  const std::int64_t hits = metric("dataset.cache.hits");
+  const std::int64_t misses = metric("dataset.cache.misses");
+  const std::int64_t bytes = metric("dataset.cache.bytes_read");
+  const auto got = cache_.load(kKind, kFp, kOp);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, payload_);
+  EXPECT_EQ(metric("dataset.cache.hits"), hits + 1);
+  EXPECT_EQ(metric("dataset.cache.misses"), misses);
+  // The whole file counts, header included.
+  EXPECT_EQ(metric("dataset.cache.bytes_read"),
+            bytes + static_cast<std::int64_t>(file_.size()));
+}
+
+TEST_F(HostileCacheFile, MissingFileIsAMiss) { expect_miss("no file"); }
+
+TEST_F(HostileCacheFile, EveryTruncationIsAMiss) {
+  for (std::size_t k = 0; k < file_.size(); ++k) {
+    expect_rejected(file_.substr(0, k), "truncated to " + std::to_string(k));
+  }
+}
+
+TEST_F(HostileCacheFile, TrailingByteIsAMiss) {
+  expect_rejected(file_ + '\0', "one trailing byte");
+}
+
+TEST_F(HostileCacheFile, LengthClaimBeyondTheFileIsAMiss) {
+  expect_rejected(claiming(payload_.size() + 1), "payload_bytes = size + 1");
+  // Checked against the file's size before anything is allocated.
+  expect_rejected(claiming(std::uint64_t{1} << 62), "payload_bytes = 2^62");
+}
+
+TEST_F(HostileCacheFile, ForeignHeaderIsAMiss) {
+  expect_rejected(wrap_dataset(DatasetKind::AppStaticBaseline, kFp, payload_),
+                  "wrong kind");
+  expect_rejected(wrap_dataset(kKind, kFp + 1, payload_), "wrong fingerprint");
+  std::string bumped = file_;
+  bumped[4] = static_cast<char>(kSchemaVersion + 1);
+  expect_rejected(bumped, "wrong schema version");
+  std::string magic = file_;
+  magic[0] = 'X';
+  expect_rejected(magic, "wrong magic");
+}
+
+TEST_F(HostileCacheFile, EveryFlippedPayloadByteIsAMiss) {
+  for (std::size_t i = kHeaderBytes; i < file_.size(); ++i) {
+    std::string corrupt = file_;
+    corrupt[i] = static_cast<char>(corrupt[i] ^ 0x5a);
+    expect_rejected(corrupt, "payload byte " + std::to_string(i) + " flipped");
+  }
+}
+
+TEST_F(HostileCacheFile, EmptyFileIsAMiss) {
+  expect_rejected(std::string(), "empty file");
+}
+
+TEST_F(HostileCacheFile, DirectoryIsAMiss) {
+  std::filesystem::create_directory(path());
+  expect_miss("a directory at the cache path");
+}
+
+TEST_F(HostileCacheFile, FifoIsAMissNotAHang) {
+  ASSERT_EQ(::mkfifo(path().c_str(), 0600), 0);
+  expect_miss("a FIFO at the cache path");
+}
+
+// --- payload mutation -------------------------------------------------------
+// Random bytes overwritten anywhere in a payload: the decoder must reject
+// the mutant, or accept it only when it re-encodes to exactly the mutant's
+// bytes (the encoding is canonical, so an accepted payload is a real one).
+
+template <typename T>
+void expect_mutants_rejected_or_canonical(const std::string& payload,
+                                          std::uint64_t seed) {
+  constexpr int kTrials = 3000;
+  Rng rng(seed);
+  int accepted = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::string mutant = payload;
+    const std::uint64_t writes = 1 + rng.uniform_index(4);
+    for (std::uint64_t w = 0; w < writes; ++w) {
+      mutant[rng.uniform_index(mutant.size())] =
+          static_cast<char>(rng.uniform_index(256));
+    }
+    T out;
+    if (!decode(mutant, out)) continue;
+    ++accepted;
+    ASSERT_EQ(encode(out), mutant) << "trial " << trial;
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kTrials);
+}
+
+TEST(DatasetMutation, CampaignResult) {
+  expect_mutants_rejected_or_canonical<CampaignResult>(
+      encode(make_campaign_result()), 1);
+}
+
+TEST(DatasetMutation, StaticBaseline) {
+  expect_mutants_rejected_or_canonical<StaticBaseline>(
+      encode(make_static_baseline()), 2);
+}
+
+TEST(DatasetMutation, AppCampaignResult) {
+  expect_mutants_rejected_or_canonical<AppCampaignResult>(
+      encode(make_app_result()), 3);
+}
+
+TEST(DatasetMutation, AppRunVector) {
+  expect_mutants_rejected_or_canonical<std::vector<AppRunRecord>>(
+      encode(std::vector<AppRunRecord>{make_app_run(1), make_app_run(2)}), 4);
 }
 
 TEST(DatasetFingerprint, StableAndSensitive) {

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "core/rng.h"
 #include "core/stats.h"
@@ -104,6 +109,41 @@ TEST(Percentile, NanInputsAreRejected) {
   EXPECT_TRUE(std::isnan(percentile(std::vector<double>{1.0, 2.0}, nan)));
 }
 
+TEST(Percentiles, EqualOneRankAtATimeBitForBit) {
+  Rng rng(11);
+  std::vector<double> v(1'001);
+  for (auto& x : v) x = rng.lognormal(2.0, 1.5);
+  constexpr std::array kRanks{0.0,  10.0, 25.0,  50.0, 75.0,
+                              90.0, 99.0, 100.0, -5.0, 150.0};
+  std::array<double, kRanks.size()> out{};
+  percentiles(v, kRanks, out);
+  for (std::size_t i = 0; i < kRanks.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+              std::bit_cast<std::uint64_t>(percentile(v, kRanks[i])))
+        << "p" << kRanks[i];
+  }
+}
+
+TEST(Percentiles, EmptyOrNanInputGivesNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  double out[2] = {0.0, 0.0};
+  percentiles(std::vector<double>{}, std::array{50.0, 90.0}, out);
+  EXPECT_TRUE(std::isnan(out[0]) && std::isnan(out[1]));
+  percentiles(std::vector<double>{1.0, nan}, std::array{50.0, 90.0}, out);
+  EXPECT_TRUE(std::isnan(out[0]) && std::isnan(out[1]));
+  // A NaN rank is NaN on its own; the other ranks are unaffected.
+  percentiles(std::vector<double>{1.0, 3.0}, std::array{nan, 50.0}, out);
+  EXPECT_TRUE(std::isnan(out[0]));
+  EXPECT_DOUBLE_EQ(out[1], 2.0);
+}
+
+TEST(Percentiles, RejectsAnOutputOfTheWrongSize) {
+  double out[1] = {0.0};
+  EXPECT_THROW(percentiles(std::vector<double>{1.0}, std::array{50.0, 90.0},
+                           out),
+               std::invalid_argument);
+}
+
 TEST(ApproxEqual, ToleratesRoundoffButNotRealDifferences) {
   EXPECT_TRUE(approx_equal(0.1 + 0.2, 0.3));
   EXPECT_TRUE(approx_equal(1e12, 1e12 * (1.0 + 1e-12)));
@@ -175,6 +215,22 @@ TEST(EmpiricalCdf, QuantileMonotone) {
     EXPECT_GE(q, prev);
     prev = q;
   }
+}
+
+TEST(EmpiricalCdf, QuantileEqualsPercentileBitForBit) {
+  Rng rng(12);
+  std::vector<double> v(777);
+  for (auto& x : v) x = rng.normal(10.0, 4.0);
+  const EmpiricalCdf cdf(v);
+  for (double p = 0.0; p <= 1.0; p += 0.01) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cdf.quantile(p)),
+              std::bit_cast<std::uint64_t>(percentile(v, p * 100.0)))
+        << "p=" << p;
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(cdf.quantile(nan)));
+  EXPECT_TRUE(std::isnan(EmpiricalCdf().quantile(0.5)));
+  EXPECT_TRUE(std::isnan(EmpiricalCdf({1.0, nan, 3.0}).quantile(0.5)));
 }
 
 TEST(EmpiricalCdf, CurveShape) {

@@ -18,7 +18,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -298,10 +297,16 @@ int cmd_info(const Options& o) {
   TextTable t({"file", "kind", "fingerprint", "payload", "status"});
   int bad = 0;
   for (const auto& path : files) {
-    std::ifstream is(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(is)),
-                      std::istreambuf_iterator<char>());
-    const auto header = dataset::parse_header(bytes);
+    // Only the header is read here; cache.load below reads the file once.
+    // A non-regular entry (a FIFO would block the open) has no header.
+    std::string head;
+    if (fs::is_regular_file(path, ec)) {
+      head.resize(dataset::kHeaderBytes);
+      std::ifstream is(path, std::ios::binary);
+      is.read(head.data(), static_cast<std::streamsize>(head.size()));
+      head.resize(static_cast<std::size_t>(is.gcount()));
+    }
+    const auto header = dataset::parse_header(head);
     if (!header) {
       t.add_row({path.filename().string(), "?", "?", "?", "bad header"});
       ++bad;

@@ -16,16 +16,20 @@ in the style of wheels_lint.py / wheels_arch.py:
                       bad checksum syntax, duplicate env var names, or a
                       per-dataset pin that is malformed, duplicated,
                       names no library scenario, or disagrees with the
-                      benchmark's perfbench/expected_seed42.json.
+                      benchmark's perfbench/expected_seed42.json, or a
+                      work_counts section that is malformed or whose
+                      warm pass does not read back the bytes its cold
+                      pass wrote.
   schema-pin          src/dataset/serialize.h kSchemaVersion / kMagic
                       disagree with the registry.
   golden-pin          a golden-checksum literal (tests/, bench/, or a
                       16-hex-digit literal in README/DESIGN/EXPERIMENTS)
                       differs from the registry's checksum for the
                       current schema version.
-  pins-stale          the generated tests/contract_pins.h (golden and
-                      per-dataset pins) is missing or out of sync with
-                      the registry (--fix-pins regenerates it).
+  pins-stale          the generated tests/contract_pins.h (golden,
+                      per-dataset pins and work counts) is missing or out
+                      of sync with the registry (--fix-pins regenerates
+                      it).
   env-undeclared      getenv/setenv of a WHEELS_* variable in C++, or a
                       WHEELS_* reference in the CI driver, that the
                       registry does not declare.
@@ -339,6 +343,81 @@ def check_dataset_pins(root: str, reg: dict, reg_rel: str,
     return findings
 
 
+# The two passes of the work_counts section, in the order the test runs
+# them: resolve every dataset into an empty cache, then again from it.
+WORK_PASSES = ("cold", "warm")
+BYTES_WRITTEN = "dataset.cache.bytes_written"
+BYTES_READ = "dataset.cache.bytes_read"
+
+
+def is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and \
+        value >= 0
+
+
+def check_work_counts(root: str, reg: dict, reg_rel: str,
+                      reg_text: str) -> list[Finding]:
+    """The optional work_counts section: the exact Det::Stable counter
+    deltas of resolving every dataset of one library scenario cold, then
+    warm. Both passes pin the same counters, each under a declared metric
+    prefix, as non-negative integers, and the warm pass reads back exactly
+    the bytes the cold pass wrote."""
+    wc = reg.get("work_counts")
+    if wc is None:
+        return []
+    findings = []
+
+    def bad(needle: str, msg: str) -> None:
+        findings.append(
+            Finding(reg_rel, registry_line(reg_text, needle), "registry", msg))
+
+    passes = wc.get("passes") if isinstance(wc, dict) else None
+    if not isinstance(passes, dict) or list(passes) != list(WORK_PASSES):
+        bad("work_counts", "work_counts needs a passes object with exactly "
+            f"{' and '.join(WORK_PASSES)}, in that order")
+        return findings
+    library = {
+        doc.get("name") for _, doc in scenario_docs(root)
+        if isinstance(doc, dict)
+    }
+    scenario = wc.get("scenario")
+    if not isinstance(scenario, str) or (library and scenario not in library):
+        bad("work_counts", f"work_counts scenario {scenario!r} names no "
+            "scenarios/*.json library scenario")
+    stride = wc.get("stride")
+    if not is_count(stride) or stride == 0:
+        bad("work_counts", "work_counts stride must be a positive integer")
+    prefixes = tuple(
+        p for p in reg.get("metric_prefixes", []) if isinstance(p, str))
+    counters = None
+    for name in WORK_PASSES:
+        counts = passes[name]
+        if not isinstance(counts, dict) or not counts:
+            bad(f'"{name}"', f"work_counts pass {name} needs an object of "
+                "counter name: exact delta")
+            continue
+        for metric, value in counts.items():
+            if not metric.startswith(prefixes):
+                bad(f'"{metric}"', f"work_counts counter {metric} starts "
+                    "with no declared metric prefix")
+            if not is_count(value):
+                bad(f'"{metric}"', f"work_counts {name} {metric} must be a "
+                    "non-negative integer")
+        if counters is None:
+            counters = set(counts)
+        elif set(counts) != counters:
+            bad(f'"{name}"', "work_counts passes must pin the same counters")
+    written = passes["cold"].get(BYTES_WRITTEN) \
+        if isinstance(passes["cold"], dict) else None
+    read = passes["warm"].get(BYTES_READ) \
+        if isinstance(passes["warm"], dict) else None
+    if written is not None and read is not None and written != read:
+        bad(f'"{BYTES_READ}"', f"work_counts warm {BYTES_READ} is {read} "
+            f"but the cold pass wrote {written}; a warm pass reads back "
+            "exactly what the cold pass stored")
+    return findings
+
+
 def current_golden(reg: dict) -> dict | None:
     entry = reg.get("golden_checksums", {}).get(str(reg.get("schema_version")))
     return entry if isinstance(entry, dict) else None
@@ -376,11 +455,41 @@ inline constexpr std::array<DatasetPin, {len(entries)}> kDatasetPins{{{{
 """
 
 
+def render_work_counts(reg: dict) -> str:
+    wc = reg.get("work_counts")
+    if not isinstance(wc, dict) or not isinstance(wc.get("passes"), dict):
+        return ""
+    rows = [(name, metric, value)
+            for name, counts in wc["passes"].items()
+            if isinstance(counts, dict)
+            for metric, value in sorted(counts.items())]
+    body = "".join(f'    {{"{name}", "{metric}", {value}}},\n'
+                   for name, metric, value in rows)
+    return f"""
+// Exact work of resolving every dataset of one library scenario: the
+// Det::Stable counter deltas of a cold pass into an empty cache, then of a
+// warm pass over the cache it left. An extra load, an extra simulation or
+// a changed byte count fails the test that asserts them.
+struct WorkCount {{
+  std::string_view pass;
+  std::string_view metric;
+  std::int64_t value;
+}};
+
+inline constexpr std::string_view kWorkCountScenario = "{wc.get("scenario")}";
+inline constexpr int kWorkCountStride = {wc.get("stride")};
+inline constexpr std::array<WorkCount, {len(rows)}> kWorkCounts{{{{
+{body}}}}};
+"""
+
+
 def render_pins_header(reg: dict) -> str:
     golden = current_golden(reg) or {}
     checksum = golden.get("checksum", "0x0")
     dataset_pins = render_dataset_pins(reg)
-    array_include = "#include <array>\n" if dataset_pins else ""
+    work_counts = render_work_counts(reg)
+    array_include = \
+        "#include <array>\n" if dataset_pins or work_counts else ""
     return f"""\
 // GENERATED FILE -- do not edit by hand.
 //
@@ -409,7 +518,7 @@ inline constexpr std::uint64_t kGoldenSeed = {golden.get("seed", 0)};
 inline constexpr int kGoldenStride = {golden.get("stride", 0)};
 inline constexpr std::uint64_t kGoldenCampaignChecksum =
     {checksum}ULL;
-{dataset_pins}
+{dataset_pins}{work_counts}
 }}  // namespace wheels::contract
 """
 
@@ -427,7 +536,7 @@ def render_pins_table(reg: dict, root: str) -> list[str]:
         f"| dataset schema version | `{reg.get('schema_version')}` |",
         f"| golden campaign checksum (seed {golden.get('seed')}, "
         f"stride {golden.get('stride')}) | `{golden.get('checksum')}` |",
-    ] + dataset_pins_row(reg)
+    ] + dataset_pins_row(reg) + work_counts_row(reg)
 
 
 def dataset_pins_row(reg: dict) -> list[str]:
@@ -439,6 +548,18 @@ def dataset_pins_row(reg: dict) -> list[str]:
         "kind and operator slot) | "
         f"{len(pins.get('entries', []))} entries in `tools/contracts.json` "
         "`dataset_pins` |"
+    ]
+
+
+def work_counts_row(reg: dict) -> list[str]:
+    wc = reg.get("work_counts")
+    if not isinstance(wc, dict) or not isinstance(wc.get("passes"), dict):
+        return []
+    return [
+        f"| exact work counts ({wc.get('scenario')}, stride "
+        f"{wc.get('stride')}, every dataset cold then warm) | "
+        f"{sum(len(c) for c in wc['passes'].values() if isinstance(c, dict))}"
+        " counter deltas in `tools/contracts.json` `work_counts` |"
     ]
 
 
@@ -1040,6 +1161,7 @@ def main(argv: list[str]) -> int:
     findings = check_registry(reg, REGISTRY_REL, reg_text)
     registry_broken = bool(findings)
     findings += check_dataset_pins(root, reg, REGISTRY_REL, reg_text)
+    findings += check_work_counts(root, reg, REGISTRY_REL, reg_text)
     if not registry_broken:
         findings += check_schema_pin(root, reg)
         findings += check_golden_pin(root, reg, cpp_files)

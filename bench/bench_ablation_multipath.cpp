@@ -9,6 +9,8 @@
 #include "core/table.h"
 #include "net/mptcp.h"
 #include "net/mptcp_scheduler.h"
+#include "ran/kernel.h"
+#include "trip/trajectory.h"
 #include "trip/world.h"
 
 int main(int argc, char** argv) {
@@ -86,23 +88,42 @@ int main(int argc, char** argv) {
     std::vector<std::unique_ptr<ran::UeSimulator>> ues;
     for (auto op : ran::kAllOperators) {
       ues.push_back(std::make_unique<ran::UeSimulator>(
-          world.corridor(), world.deployment(op), world.profile(op),
-          rng.fork(to_string(op)).fork("ue"),
-          ran::TrafficProfile::BackloggedDl));
+          world.ue(op, rng.fork(to_string(op)).fork("ue"),
+                   ran::TrafficProfile::BackloggedDl)));
     }
+    // The drive advances in up to 256-slot runs of resolved points; each
+    // run is filled into one batch per operator and stepped through the
+    // batched chain. The trip and the UEs draw from disjoint streams, so
+    // stepping each UE over the run in turn changes no input.
     const Millis slot{20.0};
+    constexpr int kSlots = 180'000;
+    constexpr std::size_t kBatchRows = 256;
     std::vector<std::vector<net::SubflowInput>> inputs;
-    inputs.reserve(180'000);
-    for (int i = 0; i < 180'000 && !trip_sim.finished(); ++i) {
-      const auto pt = trip_sim.advance(slot);
-      std::vector<net::SubflowInput> in;
-      in.reserve(3);
-      for (auto& ue : ues) {
-        const auto link = ue->step(pt.time, pt.position, pt.speed, slot);
-        in.push_back({link.phy_rate_dl,
-                      link.air_latency * 2.0 + Millis{24.0}});
+    inputs.reserve(kSlots);
+    std::vector<trip::TrajectoryPoint> points;
+    points.reserve(kBatchRows);
+    ran::SegmentBatch batch;
+    for (int i = 0; i < kSlots && !trip_sim.finished();) {
+      points.clear();
+      for (; i < kSlots && points.size() < kBatchRows && !trip_sim.finished();
+           ++i) {
+        points.push_back(
+            trip::resolve(trip_sim.advance(slot), world.corridor()));
       }
-      inputs.push_back(std::move(in));
+      const std::size_t first = inputs.size();
+      inputs.resize(first + points.size(),
+                    std::vector<net::SubflowInput>(ues.size()));
+      for (std::size_t u = 0; u < ues.size(); ++u) {
+        const auto op = ran::kAllOperators[u];
+        trip::fill_batch(points, world.deployment(op), world.profile(op),
+                         batch);
+        ues[u]->begin_segment(batch);
+        for (std::size_t row = 0; row < points.size(); ++row) {
+          const auto link = ues[u]->step(points[row].time, slot, batch, row);
+          inputs[first + row][u] = {link.phy_rate_dl,
+                                    link.air_latency * 2.0 + Millis{24.0}};
+        }
+      }
     }
     const auto bonded =
         net::run_bonded(rng.fork("mptcp"), inputs, slot, Millis{500.0});

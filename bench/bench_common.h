@@ -16,20 +16,15 @@
 #pragma once
 
 #include <cerrno>
-#include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "apps/app_campaign.h"
 #include "core/thread_pool.h"
 #include "dataset/provider.h"
-#include "obs/clock.h"
-#include "obs/metrics.h"
 #include "obs/runtime.h"
 #include "trip/campaign.h"
 
@@ -65,8 +60,8 @@ inline int stride_from(int argc, char** argv, int fallback) {
     std::exit(2);
   }
   if (argc > 1) return parse_stride_or_exit(argv[1], "argv[1]", argv[0]);
-  // WHEELS_BENCH_STRIDE / WHEELS_BENCH_JSON below are declared in
-  // tools/contracts.json; new bench knobs must be registered there too.
+  // WHEELS_BENCH_STRIDE is declared in tools/contracts.json; new bench
+  // knobs must be registered there too.
   if (const char* env = std::getenv("WHEELS_BENCH_STRIDE")) {
     return parse_stride_or_exit(env, "WHEELS_BENCH_STRIDE", argv[0]);
   }
@@ -100,66 +95,10 @@ inline dataset::CampaignProvider& provider() {
   return p;
 }
 
-namespace detail {
-
-// Wall-clock for the whole bench (simulation or cache load + analysis):
-// armed by print_header, reported at process exit as one JSON line on
-// stderr when WHEELS_BENCH_JSON=1. Timestamps never reach stdout, so the
-// figures stay bit-identical between runs. The metrics object comes from
-// the obs registry (print_header constructs the registry before this
-// clock, so the destructor ordering is safe); it reports how the time was
-// spent: simulate fan-out vs disk hits, and the per-phase breakdown.
-struct BenchClock {
-  std::string name;
-  std::int64_t start_ns = 0;
-  int jobs = 1;
-  bool armed = false;
-
-  ~BenchClock() {
-    if (!armed) return;
-    const char* env = std::getenv("WHEELS_BENCH_JSON");
-    if (env == nullptr || std::string_view(env) != "1") return;
-    const long long sim_ms =
-        static_cast<long long>((obs::now_ns() - start_ns) / 1'000'000);
-    const obs::Snapshot snap = obs::Registry::global().snapshot();
-    const auto value_of = [&snap](std::string_view metric) -> long long {
-      const obs::MetricValue* mv = snap.find(metric);
-      return mv != nullptr ? static_cast<long long>(mv->value) : 0;
-    };
-    const long long simulations =
-        value_of("dataset.provider.campaign_simulations") +
-        value_of("dataset.provider.baseline_simulations");
-    std::fprintf(stderr,
-                 "{\"bench\": \"%s\", \"sim_ms\": %lld, \"jobs\": %d, "
-                 "\"metrics\": {\"simulations\": %lld, \"disk_hits\": %lld, "
-                 "\"record_ms\": %lld, \"replay_ms\": %lld, "
-                 "\"baseline_ms\": %lld}}\n",
-                 name.c_str(), sim_ms, jobs, simulations,
-                 value_of("dataset.provider.disk_hits"),
-                 value_of("campaign.record_us") / 1000,
-                 value_of("campaign.replay_us") / 1000,
-                 value_of("campaign.baseline_us") / 1000);
-  }
-};
-
-inline BenchClock& bench_clock() {
-  static BenchClock clock;
-  return clock;
-}
-
-}  // namespace detail
-
 inline void print_header(const std::string& id, const std::string& title,
                          int stride) {
-  // Constructs the obs registry (and arms any WHEELS_METRICS/WHEELS_TRACE
-  // exporters) before the bench clock below, so the clock's destructor can
-  // still read the registry during static teardown.
+  // Arms any WHEELS_METRICS/WHEELS_TRACE exporters for the whole bench.
   obs::init_from_env();
-  auto& clock = detail::bench_clock();
-  clock.name = id;
-  clock.start_ns = obs::now_ns();
-  clock.jobs = resolve_jobs();
-  clock.armed = true;
   std::cout << "=== " << id << ": " << title << " ===\n"
             << "(campaign stride " << stride
             << "; stride 1 reproduces the full 8-day drive)\n\n";

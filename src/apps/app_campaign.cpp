@@ -7,6 +7,9 @@
 #include "core/thread_pool.h"
 #include "obs/trace.h"
 #include "ran/kernel.h"
+#include "ran/ue.h"
+#include "trip/baseline.h"
+#include "trip/trajectory.h"
 
 namespace wheels::apps {
 namespace {
@@ -15,10 +18,9 @@ using ran::OperatorId;
 
 constexpr Millis kArFrameInterval{1'000.0 / 30.0};
 
-// Idle fast-forward cadence, and the most rows an idle batch holds before
-// it is stepped: the cap keeps a long skipped stretch from growing the
-// batch (and the UE's shadowing rows) with it.
-constexpr Millis kIdleStep{100.0};
+// The most rows an idle batch holds before it is stepped: the cap keeps a
+// long skipped stretch from growing the batch (and the UE's shadowing
+// rows) with it.
 constexpr std::size_t kIdleBatchRows = 256;
 
 // Fill the app-specific metric fields of a record.
@@ -53,11 +55,8 @@ AppCampaign::AppCampaign(AppCampaignConfig cfg)
 
 void AppCampaign::set_jobs(int jobs) { jobs_ = resolve_jobs(jobs); }
 
-const AppCampaignResult& AppCampaign::run() {
-  const std::lock_guard<std::mutex> lock(run_mu_);
-  if (ran_) return result_;
-  // A run that threw left partial records behind; start from empty.
-  result_ = AppCampaignResult{};
+AppCampaignResult AppCampaign::run() const {
+  AppCampaignResult result;
   const Rng& root = world_.rng();
   const trip::DriveConfig drive = trip::drive_from_spec(cfg_.spec);
   const Millis gap_len{cfg_.spec.timing.gap_ms};
@@ -82,16 +81,15 @@ const AppCampaignResult& AppCampaign::run() {
     std::string span_name = "apps.campaign.";
     span_name += ospec.name;
     const obs::Span span(span_name);
-    std::vector<AppRunRecord>& runs = result_.runs[oi];
+    std::vector<AppRunRecord>& runs = result.runs[oi];
     // Same trip seed for every operator: the phones share the car.
     trip::TripSimulator trip(world_.route(), world_.corridor(),
                              root.fork("trip"), drive);
-    ran::UeSimulator ue(world_.corridor(), world_.deployment(op),
-                        world_.profile(op),
-                        // wheels-rng: dynamic(per-operator UE stream)
-                        root.fork(ospec.name).fork("app-ue"),
-                        ran::TrafficProfile::Interactive, cfg_.spec.bands,
-                        world_.regime());
+    ran::UeSimulator ue =
+        world_.ue(op,
+                  // wheels-rng: dynamic(per-operator UE stream)
+                  root.fork(ospec.name).fork("app-ue"),
+                  ran::TrafficProfile::Interactive);
     // wheels-rng: dynamic(per-operator app-session stream)
     Rng app_rng = root.fork(ospec.name).fork("apps");
 
@@ -101,38 +99,32 @@ const AppCampaignResult& AppCampaign::run() {
       return ue.step(pt.time, pt.position, pt.speed, dt);
     };
 
-    // Idle fast-forward: the drive advances in 100 ms steps into this
-    // phone's batch, which is stepped through the batched chain whenever
-    // it fills and at the end of the gap. The trip and the UE draw from
+    // Idle fast-forward: the drive advances in trip::kIdleStep steps into
+    // up to kIdleBatchRows resolved points, which are filled into this
+    // phone's batch and stepped through the batched chain whenever they
+    // fill up and at the end of the gap. The trip and the UE draw from
     // disjoint streams, so advancing the trip ahead of the UE changes no
     // bytes.
     ran::SegmentBatch idle;
-    std::vector<SimTime> idle_time(kIdleBatchRows);
-    std::size_t idle_rows = 0;
+    std::vector<trip::TrajectoryPoint> idle_points;
+    idle_points.reserve(kIdleBatchRows);
     const auto step_idle = [&] {
-      if (idle_rows == 0) return;
-      idle.resize(idle_rows);
-      ran::fill_nearest_cells(world_.deployment(op), world_.profile(op),
-                              idle);
+      if (idle_points.empty()) return;
+      trip::fill_batch(idle_points, world_.deployment(op), world_.profile(op),
+                       idle);
       ue.begin_segment(idle);
-      for (std::size_t row = 0; row < idle_rows; ++row) {
-        ue.step(idle_time[row], kIdleStep, idle, row);
+      for (std::size_t row = 0; row < idle_points.size(); ++row) {
+        ue.step(idle_points[row].time, trip::kIdleStep, idle, row);
       }
-      idle_rows = 0;
+      idle_points.clear();
     };
     auto gap = [&](Millis duration) {
       ue.set_traffic(ran::TrafficProfile::Idle);
       for (Millis el{0.0}; el.value < duration.value && !trip.finished();
-           el += kIdleStep) {
-        const auto pt = trip.advance(kIdleStep);
-        if (idle_rows == 0) idle.resize(kIdleBatchRows);
-        const ran::CorridorSegment& here = world_.corridor().at(pt.position);
-        idle.pos_m[idle_rows] = pt.position.value;
-        idle.speed_mph[idle_rows] = pt.speed.value;
-        idle.env[idle_rows] = here.env;
-        idle.tz[idle_rows] = here.tz;
-        idle_time[idle_rows] = pt.time;
-        if (++idle_rows == kIdleBatchRows) step_idle();
+           el += trip::kIdleStep) {
+        idle_points.push_back(
+            trip::resolve(trip.advance(trip::kIdleStep), world_.corridor()));
+        if (idle_points.size() == kIdleBatchRows) step_idle();
       }
       step_idle();
       ue.set_traffic(ran::TrafficProfile::Interactive);
@@ -215,11 +207,11 @@ const AppCampaignResult& AppCampaign::run() {
       }
     }
   });
-  ran_ = true;
-  return result_;
+  return result;
 }
 
-std::vector<AppRunRecord> AppCampaign::run_static_baseline(OperatorId op) {
+std::vector<AppRunRecord> AppCampaign::run_static_baseline(
+    OperatorId op) const {
   const scenario::AppMixSpec& mix = cfg_.spec.apps;
   const scenario::OperatorSpec& ospec =
       cfg_.spec.operators[static_cast<std::size_t>(op)];
@@ -227,98 +219,76 @@ std::vector<AppRunRecord> AppCampaign::run_static_baseline(OperatorId op) {
   baseline_span_name += ospec.name;
   const Rng& root = world_.rng();
   // wheels-rng: dynamic(per-operator static-baseline stream)
-  Rng srng = root.fork(ospec.name).fork("static-apps");
+  const Rng srng = root.fork(ospec.name).fork("static-apps");
 
-  // Every stream a city consumes forks from srng.fork(city.name), so
-  // cities run on their own workers into their own record vectors.
-  const auto& cities = world_.route().cities();
-  std::vector<std::vector<AppRunRecord>> per_city(cities.size());
-  parallel_for_each(jobs_, cities.size(), [&](std::size_t ci) {
-    const auto& city = cities[ci];
-    std::string city_span_name = baseline_span_name;
-    city_span_name += '.';
-    city_span_name += city.name;
-    const obs::Span city_span(city_span_name);
-    const ran::Cell* site = world_.best_5g_site(op, city);
-    if (!site) return;
-    std::vector<AppRunRecord>& out = per_city[ci];
+  std::vector<std::vector<AppRunRecord>> per_city = trip::run_baseline_cities(
+      world_, op, srng, ran::TrafficProfile::Interactive, baseline_span_name,
+      jobs_, [&](trip::BaselineCity& bc) {
+        std::vector<AppRunRecord> out;
+        const Rng& city_rng = bc.rng;
+        SimTime t = bc.noon;
+        LinkEnv env;
+        env.path_one_way = bc.server.one_way_delay;
+        env.step = [&](Millis dt) {
+          const auto link = bc.ue.step(t, bc.pos, Mph{0.0}, dt);
+          t += dt;
+          return link;
+        };
 
-    const Meters pos = site->route_pos;
-    const TimeZone tz = world_.corridor().at(pos).tz;
-    const auto ep = world_.servers().select(op, pos, tz);
-    ran::UeSimulator ue(world_.corridor(), world_.deployment(op),
-                        world_.profile(op),
-                        // wheels-rng: dynamic(per-city UE stream for the static baseline)
-                        srng.fork(city.name), ran::TrafficProfile::Interactive,
-                        cfg_.spec.bands, world_.regime());
-    ue.set_favourable_conditions(true);
-    CivilTime noon;
-    noon.day = 1;
-    noon.hour = 12;
-    SimTime t = from_civil(noon, tz);
+        auto make_record = [&](AppKind app, bool compression) {
+          AppRunRecord rec;
+          rec.app = app;
+          rec.compression = compression;
+          rec.op = op;
+          rec.start = t;
+          rec.position = bc.pos;
+          rec.tz = bc.tz;
+          rec.server = bc.server.kind;
+          return rec;
+        };
 
-    LinkEnv env;
-    env.path_one_way = ep.one_way_delay;
-    env.step = [&](Millis dt) {
-      const auto link = ue.step(t, pos, Mph{0.0}, dt);
-      t += dt;
-      return link;
-    };
-
-    auto make_record = [&](AppKind app, bool compression) {
-      AppRunRecord rec;
-      rec.app = app;
-      rec.compression = compression;
-      rec.op = op;
-      rec.start = t;
-      rec.position = pos;
-      rec.tz = tz;
-      rec.server = ep.kind;
-      return rec;
-    };
-
-    for (int rep = 0; rep < 3; ++rep) {
-      for (const bool is_ar : {true, false}) {
-        if (is_ar ? !mix.ar : !mix.cav) continue;
-        for (const bool compression : {false, true}) {
-          auto rec = make_record(is_ar ? AppKind::Ar : AppKind::Cav,
-                                 compression);
-          const auto cfg =
-              is_ar ? ar_config(compression) : cav_config(compression);
-          const auto r =
-              // wheels-rng: dynamic(per-city stream, disjoint salt per rep/app)
-              run_offload(cfg, env, srng.fork(city.name).fork(rep * 8 + 2 *
-                                                              is_ar +
-                                                              compression));
-          fill_offload(rec, r, is_ar, compression);
-          out.push_back(std::move(rec));
+        for (int rep = 0; rep < 3; ++rep) {
+          for (const bool is_ar : {true, false}) {
+            if (is_ar ? !mix.ar : !mix.cav) continue;
+            for (const bool compression : {false, true}) {
+              auto rec = make_record(is_ar ? AppKind::Ar : AppKind::Cav,
+                                     compression);
+              const auto cfg =
+                  is_ar ? ar_config(compression) : cav_config(compression);
+              const auto r = run_offload(
+                  cfg, env,
+                  // wheels-rng: dynamic(per-city stream, disjoint salt per rep/app)
+                  city_rng.fork(rep * 8 + 2 * is_ar + compression));
+              fill_offload(rec, r, is_ar, compression);
+              out.push_back(std::move(rec));
+            }
+          }
+          if (mix.video) {
+            auto rec = make_record(AppKind::Video, false);
+            const auto r = run_video(VideoConfig{}, env);
+            rec.qoe = r.avg_qoe;
+            rec.avg_bitrate_mbps = r.avg_bitrate_mbps;
+            rec.rebuffer_fraction = r.rebuffer_fraction;
+            rec.frac_high_speed_5g = r.frac_high_speed_5g;
+            out.push_back(std::move(rec));
+          }
+          if (mix.gaming) {
+            auto rec = make_record(AppKind::Gaming, false);
+            const auto r = run_gaming(
+                GamingConfig{}, env,
+                // wheels-rng: dynamic(per-city gaming rep, offset past the offload salt block)
+                city_rng.fork(100 + rep));
+            rec.gaming_bitrate_mbps = r.median_bitrate_mbps;
+            rec.gaming_latency_ms = r.mean_latency_ms;
+            rec.frame_drop_rate = r.frame_drop_rate;
+            rec.frac_high_speed_5g = r.frac_high_speed_5g;
+            out.push_back(std::move(rec));
+          }
         }
-      }
-      if (mix.video) {
-        auto rec = make_record(AppKind::Video, false);
-        const auto r = run_video(VideoConfig{}, env);
-        rec.qoe = r.avg_qoe;
-        rec.avg_bitrate_mbps = r.avg_bitrate_mbps;
-        rec.rebuffer_fraction = r.rebuffer_fraction;
-        rec.frac_high_speed_5g = r.frac_high_speed_5g;
-        out.push_back(std::move(rec));
-      }
-      if (mix.gaming) {
-        auto rec = make_record(AppKind::Gaming, false);
-        const auto r = run_gaming(GamingConfig{}, env,
-                                  // wheels-rng: dynamic(per-city gaming rep, offset past the offload salt block)
-                                  srng.fork(city.name).fork(100 + rep));
-        rec.gaming_bitrate_mbps = r.median_bitrate_mbps;
-        rec.gaming_latency_ms = r.mean_latency_ms;
-        rec.frame_drop_rate = r.frame_drop_rate;
-        rec.frac_high_speed_5g = r.frac_high_speed_5g;
-        out.push_back(std::move(rec));
-      }
-    }
-  });
+        return out;
+      });
 
-  // Merge in route (city) order: the output is a pure function of the
-  // config, never of worker scheduling.
+  // Concatenate the cities' records (already in route order).
   std::vector<AppRunRecord> out;
   for (std::vector<AppRunRecord>& records : per_city) {
     out.insert(out.end(), std::make_move_iterator(records.begin()),

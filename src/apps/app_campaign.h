@@ -8,15 +8,16 @@
 //
 // Execution model (DESIGN.md "Parallel execution model"): run() steps each
 // operator's phone on its own worker and run_static_baseline() fans out
-// per city, like the drive campaign. Every stream a phone or city draws
-// from is forked from the World's root, and each writes only its own
-// result slot, so the bytes are the same for any jobs count. Idle gaps
-// and skipped cycles fast-forward through a phone-owned SegmentBatch.
+// per city through the drive campaign's trip::run_baseline_cities. Every
+// stream a phone or city draws from is forked from the World's root, and
+// each writes only its own result slot, so the bytes are the same for any
+// jobs count. Idle gaps and skipped cycles fast-forward through a
+// phone-owned SegmentBatch filled by trip::fill_batch. Every run owns its
+// state: a call builds its phones and records and returns them by value.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "apps/gaming.h"
@@ -103,16 +104,16 @@ class AppCampaign {
  public:
   explicit AppCampaign(AppCampaignConfig cfg = AppCampaignConfig{});
 
-  // Run the driving campaign for all three operators, one phone per worker
-  // (idempotent and safe to call from several threads: the first call
-  // simulates, later calls return the same result). The reference stays
-  // valid for the lifetime of the AppCampaign.
-  const AppCampaignResult& run();
+  // Run the driving campaign for all three operators, one phone per
+  // worker. Each call simulates from fresh phones and is safe to make from
+  // several threads at once.
+  [[nodiscard]] AppCampaignResult run() const;
 
   // Best-static baselines: several runs next to the best high-speed-5G
   // site of each major city; the study quotes the best run. Cities fan
   // out across workers; records are merged in route order.
-  std::vector<AppRunRecord> run_static_baseline(ran::OperatorId op);
+  [[nodiscard]] std::vector<AppRunRecord> run_static_baseline(
+      ran::OperatorId op) const;
 
   // Worker threads used by run()/run_static_baseline. jobs <= 0 resolves
   // from WHEELS_JOBS (default 1). Changing it never changes results, only
@@ -124,9 +125,6 @@ class AppCampaign {
   AppCampaignConfig cfg_;
   trip::World world_;
   int jobs_ = 1;
-  std::mutex run_mu_;  // guards result_ and ran_
-  AppCampaignResult result_;
-  bool ran_ = false;
 };
 
 }  // namespace wheels::apps

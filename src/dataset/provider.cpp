@@ -66,23 +66,11 @@ CampaignProvider::~CampaignProvider() = default;
 void CampaignProvider::set_jobs(int jobs) {
   const std::lock_guard<std::mutex> lock(mu_);
   jobs_ = resolve_jobs(jobs);
-  for (auto& [fp, campaign] : campaigns_) campaign->set_jobs(jobs_);
 }
 
 void CampaignProvider::set_inflight_hook(InflightHook hook) {
   const std::lock_guard<std::mutex> lock(mu_);
   inflight_hook_ = std::move(hook);
-}
-
-trip::Campaign& CampaignProvider::campaign_for(
-    const trip::CampaignConfig& cfg) {
-  const std::uint64_t fp = fingerprint(cfg);
-  auto it = campaigns_.find(fp);
-  if (it == campaigns_.end()) {
-    it = campaigns_.emplace(fp, std::make_unique<trip::Campaign>(cfg)).first;
-    it->second->set_jobs(jobs_);
-  }
-  return *it->second;
 }
 
 void CampaignProvider::note(DatasetKind kind, std::uint64_t fp,
@@ -185,25 +173,20 @@ std::shared_ptr<const Result> CampaignProvider::resolve_impl(
       });
 }
 
+int CampaignProvider::current_jobs() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return jobs_;
+}
+
 std::shared_ptr<const trip::CampaignResult> CampaignProvider::resolve(
     const trip::CampaignConfig& cfg) {
   const std::uint64_t fp = fingerprint(cfg);
   return resolve_impl(
       results_, result_flights_, DatasetKind::Campaign, fp, 0,
       ran::OperatorId::Verizon, SimKind::Campaign, [&] {
-        std::unique_ptr<trip::Campaign> local;
-        trip::Campaign* campaign = nullptr;
-        {
-          const std::lock_guard<std::mutex> lock(mu_);
-          if (memoize_) {
-            campaign = &campaign_for(cfg);
-          } else {
-            local = std::make_unique<trip::Campaign>(cfg);
-            local->set_jobs(jobs_);
-            campaign = local.get();
-          }
-        }
-        return std::make_shared<trip::CampaignResult>(campaign->run());
+        trip::Campaign campaign(cfg);
+        campaign.set_jobs(current_jobs());
+        return std::make_shared<trip::CampaignResult>(campaign.run());
       });
 }
 
@@ -213,20 +196,10 @@ std::shared_ptr<const trip::StaticBaseline> CampaignProvider::resolve_static(
   return resolve_impl(
       baselines_, baseline_flights_, DatasetKind::StaticBaseline, fp,
       op_index(op), op, SimKind::Baseline, [&] {
-        std::unique_ptr<trip::Campaign> local;
-        trip::Campaign* campaign = nullptr;
-        {
-          const std::lock_guard<std::mutex> lock(mu_);
-          if (memoize_) {
-            campaign = &campaign_for(cfg);
-          } else {
-            local = std::make_unique<trip::Campaign>(cfg);
-            local->set_jobs(jobs_);
-            campaign = local.get();
-          }
-        }
+        trip::Campaign campaign(cfg);
+        campaign.set_jobs(current_jobs());
         return std::make_shared<trip::StaticBaseline>(
-            campaign->run_static_baseline(op));
+            campaign.run_static_baseline(op));
       });
 }
 
@@ -237,10 +210,7 @@ std::shared_ptr<const apps::AppCampaignResult> CampaignProvider::resolve_apps(
       app_results_, app_result_flights_, DatasetKind::AppCampaign, fp, 0,
       ran::OperatorId::Verizon, SimKind::Campaign, [&] {
         apps::AppCampaign campaign(cfg);
-        {
-          const std::lock_guard<std::mutex> lock(mu_);
-          campaign.set_jobs(jobs_);
-        }
+        campaign.set_jobs(current_jobs());
         return std::make_shared<apps::AppCampaignResult>(campaign.run());
       });
 }
@@ -253,10 +223,7 @@ CampaignProvider::resolve_apps_static(const apps::AppCampaignConfig& cfg,
       app_baselines_, app_baseline_flights_, DatasetKind::AppStaticBaseline,
       fp, op_index(op), op, SimKind::Baseline, [&] {
         apps::AppCampaign campaign(cfg);
-        {
-          const std::lock_guard<std::mutex> lock(mu_);
-          campaign.set_jobs(jobs_);
-        }
+        campaign.set_jobs(current_jobs());
         return std::make_shared<std::vector<apps::AppRunRecord>>(
             campaign.run_static_baseline(op));
       });

@@ -19,6 +19,11 @@
 // this to guarantee a thundering herd on one cold fingerprint simulates
 // exactly once, with memoize=false so residency is owned by its LRU store
 // rather than this process-lifetime memo.
+//
+// A simulation builds one runner (trip::Campaign or apps::AppCampaign) for
+// that one resolution and moves its result into the returned shared_ptr;
+// no runner outlives its resolution, so the memo and the disk cache are
+// the only result caches.
 #pragma once
 
 #include <functional>
@@ -47,7 +52,7 @@ struct ProviderOptions {
   // Figures go to stdout, so cached and fresh runs stay byte-identical
   // where it matters.
   bool verbose = false;
-  // Worker threads handed to every Campaign this provider builds (replay
+  // Worker threads handed to every runner this provider builds (replay
   // and per-city baseline fan-out). <= 0 resolves from WHEELS_JOBS. Never
   // part of the fingerprint: jobs changes wall-clock, not bytes.
   int jobs = 0;
@@ -92,8 +97,8 @@ class CampaignProvider {
   const std::vector<apps::AppRunRecord>& load_or_run_apps_static(
       const apps::AppCampaignConfig& cfg, ran::OperatorId op);
 
-  // Re-resolve the worker count (jobs <= 0 reads WHEELS_JOBS); applies to
-  // existing memoized Campaigns as well as future ones.
+  // Re-resolve the worker count (jobs <= 0 reads WHEELS_JOBS) for every
+  // later simulation.
   void set_jobs(int jobs);
   [[nodiscard]] int jobs() const { return jobs_; }
 
@@ -141,10 +146,8 @@ class CampaignProvider {
       DatasetKind kind, std::uint64_t fp, int opi, ran::OperatorId op,
       SimKind sim, Simulate simulate);
 
-  // Memoized Campaign instance per full-config fingerprint, so a bench
-  // needing both baselines and the drive builds the corridor/deployments
-  // once. Callers must hold mu_.
-  trip::Campaign& campaign_for(const trip::CampaignConfig& cfg);
+  // jobs_ read under mu_, for a runner built inside a flight.
+  int current_jobs();
 
   void note(DatasetKind kind, std::uint64_t fp, const char* source) const;
 
@@ -160,12 +163,11 @@ class CampaignProvider {
   int inflight_joins_ = 0;
   InflightHook inflight_hook_;
 
-  // Guards the memo maps, the Campaign table, and the counters. Never held
-  // across a simulation: concurrent distinct-key requests simulate in
-  // parallel, and same-key requests coalesce in the flight tables below.
+  // Guards the memo maps, jobs_ and the counters. Never held across a
+  // simulation: concurrent distinct-key requests simulate in parallel, and
+  // same-key requests coalesce in the flight tables below.
   std::mutex mu_;
 
-  std::map<std::uint64_t, std::unique_ptr<trip::Campaign>> campaigns_;
   Memo<trip::CampaignResult> results_;
   Memo<trip::StaticBaseline> baselines_;
   Memo<apps::AppCampaignResult> app_results_;

@@ -2,16 +2,22 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/rng.h"
 #include "core/stats.h"
 #include "core/thread_pool.h"
 #include "net/ping.h"
+#include "net/tcp_cubic.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "radio/phy_rate.h"
-#include "trip/replay_kernel.h"
+#include "ran/ue.h"
+#include "trip/baseline.h"
 
 namespace wheels::trip {
 namespace {
@@ -43,6 +49,24 @@ CampaignMetrics& campaign_metrics() {
   return m;
 }
 
+// Batch preparation is wall-clock (scheduling-dependent); the slot count
+// is a pure function of config + stride and must match across jobs.
+struct KernelMetrics {
+  obs::Counter& batch_us;
+  obs::Counter& slots;
+};
+
+KernelMetrics& kernel_metrics() {
+  // wheels-lint: allow(static-local)
+  static KernelMetrics m{
+      obs::Registry::global().counter("campaign.kernel.batch_us",
+                                      obs::Det::WallClock),
+      obs::Registry::global().counter("campaign.kernel.slots",
+                                      obs::Det::Stable),
+  };
+  return m;
+}
+
 std::uint64_t elapsed_us(std::int64_t start_ns) {
   const std::int64_t d = obs::now_ns() - start_ns;
   return d > 0 ? static_cast<std::uint64_t>(d) / 1000 : 0;
@@ -60,6 +84,10 @@ CampaignConfig CampaignConfig::from_scenario(
   return cfg;
 }
 
+// One operator's phones for one run: the test UE, the passive
+// handover-logger UE, the test phone's TCP flow and ping stream, the logs
+// they write, and the replay scratch (reused across every segment, so the
+// hot loop allocates nothing per segment once warm).
 struct Campaign::PhoneSet {
   OperatorId op;
   ran::UeSimulator test_ue;
@@ -68,51 +96,46 @@ struct Campaign::PhoneSet {
   Rng rng;
   Millis passive_step_accum{0.0};
   Millis passive_log_accum{0.0};
-  ReplayScratch scratch;  // batch + sample buffers, reused per segment
+  OperatorLogs log;
+  ran::SegmentBatch batch;
+  std::vector<double> window_tputs;
+  std::vector<double> rtts;
 
-  PhoneSet(OperatorId op_, const World& world, const radio::BandPlan& plan,
-           Rng r)
+  PhoneSet(OperatorId op_, const World& world, Rng r)
       : op(op_),
-        test_ue(world.corridor(), world.deployment(op_), world.profile(op_),
-                r.fork("test"), ran::TrafficProfile::Idle, plan,
-                world.regime()),
-        passive_ue(world.corridor(), world.deployment(op_),
-                   world.profile(op_), r.fork("passive"),
-                   ran::TrafficProfile::Idle, plan, world.regime()),
+        test_ue(world.ue(op_, r.fork("test"), ran::TrafficProfile::Idle)),
+        passive_ue(
+            world.ue(op_, r.fork("passive"), ran::TrafficProfile::Idle)),
         flow(r.fork("tcp")),
-        rng(r.fork("misc")) {}
+        rng(r.fork("misc")) {
+    log.op = op_;
+  }
 };
 
 Campaign::Campaign(CampaignConfig cfg)
     : cfg_(std::move(cfg)),
       world_(cfg_.spec, cfg_.seed),
-      jobs_(resolve_jobs()) {
-  const Rng& root = world_.rng();
-  for (OperatorId op : ran::kAllOperators) {
-    const auto i = static_cast<std::size_t>(op);
-    const scenario::OperatorSpec& ospec = cfg_.spec.operators[i];
-    phones_.push_back(std::make_unique<PhoneSet>(
-        op, world_, cfg_.spec.bands,
-        // wheels-rng: dynamic(per-operator phone-set stream)
-        root.fork(ospec.name).fork("ue")));
-    result_.logs[i].op = op;
-  }
-}
-
-Campaign::~Campaign() = default;
+      jobs_(resolve_jobs()) {}
 
 void Campaign::set_jobs(int jobs) { jobs_ = resolve_jobs(jobs); }
 
 const ran::SegmentBatch& Campaign::prepare_batch(
-    PhoneSet& ph, const Trajectory& traj, const TrajectorySegment& seg) {
-  prepare_segment_batch(traj, seg, world_.deployment(ph.op),
-                        world_.profile(ph.op), ph.scratch.batch);
-  ph.test_ue.begin_segment(ph.scratch.batch);
-  return ph.scratch.batch;
+    PhoneSet& ph, const Trajectory& traj,
+    const TrajectorySegment& seg) const {
+  const std::int64_t start_ns = obs::now_ns();
+  const std::span<const TrajectoryPoint> points(traj.points);
+  fill_batch(points.subspan(seg.begin, seg.end - seg.begin),
+             world_.deployment(ph.op), world_.profile(ph.op), ph.batch);
+  KernelMetrics& m = kernel_metrics();
+  m.batch_us.add(elapsed_us(start_ns));
+  m.slots.add(seg.end - seg.begin);
+  ph.test_ue.begin_segment(ph.batch);
+  return ph.batch;
 }
 
 void Campaign::step_passive(PhoneSet& ph, const TrajectoryPoint& pt, Millis dt,
-                            const ran::SegmentBatch& batch, std::size_t row) {
+                            const ran::SegmentBatch& batch,
+                            std::size_t row) const {
   // The passive phone samples coarsely (its ping cadence is 200 ms) and
   // logs a technology record every second.
   ph.passive_step_accum += dt;
@@ -132,13 +155,13 @@ void Campaign::step_passive(PhoneSet& ph, const TrajectoryPoint& pt, Millis dt,
       ps.connected = link.connected;
       ps.tech = link.tech;
       ps.cell = link.cell;
-      result_.logs[static_cast<std::size_t>(ph.op)].passive.push_back(ps);
+      ph.log.passive.push_back(ps);
     }
   }
 }
 
 void Campaign::replay_bulk(PhoneSet& ph, const Trajectory& traj,
-                           const TrajectorySegment& seg, TestType type) {
+                           const TrajectorySegment& seg, TestType type) const {
   const Direction dir = type == TestType::DownlinkBulk
                             ? Direction::Downlink
                             : Direction::Uplink;
@@ -153,7 +176,7 @@ void Campaign::replay_bulk(PhoneSet& ph, const Trajectory& traj,
     std::array<int, 5> tech_slots{};
   };
 
-  auto& log = result_.logs[static_cast<std::size_t>(ph.op)];
+  OperatorLogs& log = ph.log;
   ph.test_ue.set_traffic(traffic);
   ph.flow.restart();
   const auto server =
@@ -162,7 +185,7 @@ void Campaign::replay_bulk(PhoneSet& ph, const Trajectory& traj,
   std::size_t ho_window_base = ho_base;
   // Scratch reuse: one 500 ms window per ~25 slots, so seg.end - seg.begin
   // bounds the sample count; no per-segment reallocation once warm.
-  std::vector<double>& window_tputs = ph.scratch.window_tputs;
+  std::vector<double>& window_tputs = ph.window_tputs;
   window_tputs.clear();
   window_tputs.reserve(seg.end - seg.begin);
   const ran::SegmentBatch& batch = prepare_batch(ph, traj, seg);
@@ -264,14 +287,14 @@ void Campaign::replay_bulk(PhoneSet& ph, const Trajectory& traj,
 }
 
 void Campaign::replay_rtt(PhoneSet& ph, const Trajectory& traj,
-                          const TrajectorySegment& seg) {
-  auto& log = result_.logs[static_cast<std::size_t>(ph.op)];
+                          const TrajectorySegment& seg) const {
+  OperatorLogs& log = ph.log;
   ph.test_ue.set_traffic(ran::TrafficProfile::Idle);
   const auto server =
       world_.servers().select(ph.op, seg.start.position, seg.start.tz);
   const std::size_t ho_base = ph.test_ue.handovers().size();
   Millis since_ping{1e9};
-  std::vector<double>& rtts = ph.scratch.rtts;
+  std::vector<double>& rtts = ph.rtts;
   rtts.clear();
   rtts.reserve(seg.end - seg.begin);
   const ran::SegmentBatch& batch = prepare_batch(ph, traj, seg);
@@ -332,7 +355,7 @@ void Campaign::replay_rtt(PhoneSet& ph, const Trajectory& traj,
 }
 
 void Campaign::replay_idle(PhoneSet& ph, const Trajectory& traj,
-                           const TrajectorySegment& seg) {
+                           const TrajectorySegment& seg) const {
   ph.test_ue.set_traffic(ran::TrafficProfile::Idle);
   const ran::SegmentBatch& batch = prepare_batch(ph, traj, seg);
   for (std::size_t j = seg.begin; j < seg.end; ++j) {
@@ -342,7 +365,7 @@ void Campaign::replay_idle(PhoneSet& ph, const Trajectory& traj,
   }
 }
 
-void Campaign::replay_operator(PhoneSet& ph, const Trajectory& traj) {
+void Campaign::replay_operator(PhoneSet& ph, const Trajectory& traj) const {
   for (const auto& seg : traj.segments) {
     switch (seg.kind) {
       case SegmentKind::BulkDl:
@@ -362,54 +385,55 @@ void Campaign::replay_operator(PhoneSet& ph, const Trajectory& traj) {
   }
 }
 
-const CampaignResult& Campaign::run() {
-  const std::lock_guard<std::mutex> lock(run_mu_);
-  if (ran_) return result_;
-
+CampaignResult Campaign::run() const {
   // Phase 1 (sequential, cheap): drive the route once, recording the
-  // schedule. Phase 2 (parallel): each operator replays the recording on
-  // its own worker, touching only its own RNG streams and logs slot.
+  // schedule. Phase 2 (parallel): each operator builds its phones and
+  // replays the recording on its own worker, touching only its own RNG
+  // streams and its own logs slot.
+  const Rng& root = world_.rng();
   const std::int64_t record_start = obs::now_ns();
   const Trajectory traj = [&] {
     const obs::Span span("campaign.record");
-    const Rng& root = world_.rng();
     TripSimulator trip(world_.route(), world_.corridor(), root.fork("trip"),
                        drive_from_spec(cfg_.spec));
     return record_trajectory(trip, world_.corridor(), cfg_);
   }();
   campaign_metrics().record_us.add(elapsed_us(record_start));
 
+  CampaignResult result;
   const std::int64_t replay_start = obs::now_ns();
-  parallel_for_each(jobs_, phones_.size(), [&](std::size_t i) {
+  parallel_for_each(jobs_, ran::kAllOperators.size(), [&](std::size_t i) {
+    const scenario::OperatorSpec& ospec = cfg_.spec.operators[i];
     std::string span_name = "campaign.replay.";
-    span_name += cfg_.spec.operators[i].name;
+    span_name += ospec.name;
     const obs::Span span(span_name);
-    replay_operator(*phones_[i], traj);
-  });
-  campaign_metrics().replay_us.add(elapsed_us(replay_start));
+    PhoneSet ph(ran::kAllOperators[i], world_,
+                // wheels-rng: dynamic(per-operator phone-set stream)
+                root.fork(ospec.name).fork("ue"));
+    replay_operator(ph, traj);
 
-  for (auto& ph : phones_) {
-    const auto i = static_cast<std::size_t>(ph->op);
-    auto& log = result_.logs[i];
-    log.test_handovers = ph->test_ue.handovers();
-    log.passive_handovers = ph->passive_ue.handovers();
+    OperatorLogs& log = ph.log;
+    log.test_handovers = ph.test_ue.handovers();
+    log.passive_handovers = ph.passive_ue.handovers();
     // Unique cells across both phones of this operator.
-    std::vector<ran::CellId> cells = ph->test_ue.seen_cells();
-    const auto& pc = ph->passive_ue.seen_cells();
+    std::vector<ran::CellId> cells = ph.test_ue.seen_cells();
+    const auto& pc = ph.passive_ue.seen_cells();
     cells.insert(cells.end(), pc.begin(), pc.end());
     std::sort(cells.begin(), cells.end());
     cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
     log.unique_cells = cells.size();
     log.experiment_runtime = traj.total_drive_time;
-  }
-  result_.route_length = world_.route().length();
-  result_.days = traj.days;
-  result_.drive_time = traj.total_drive_time;
-  ran_ = true;
-  return result_;
+    result.logs[i] = std::move(log);
+  });
+  campaign_metrics().replay_us.add(elapsed_us(replay_start));
+
+  result.route_length = world_.route().length();
+  result.days = traj.days;
+  result.drive_time = traj.total_drive_time;
+  return result;
 }
 
-StaticBaseline Campaign::run_static_baseline(OperatorId op) {
+StaticBaseline Campaign::run_static_baseline(OperatorId op) const {
   const std::int64_t baseline_start = obs::now_ns();
   const std::string& op_name =
       cfg_.spec.operators[static_cast<std::size_t>(op)].name;
@@ -417,8 +441,6 @@ StaticBaseline Campaign::run_static_baseline(OperatorId op) {
   baseline_span_name += op_name;
   const obs::Span baseline_span(baseline_span_name);
 
-  StaticBaseline out;
-  out.op = op;
   const scenario::TimingSpec& timing = cfg_.spec.timing;
   const Millis slot{timing.slot_ms};
   const Rng& root = world_.rng();
@@ -426,88 +448,64 @@ StaticBaseline Campaign::run_static_baseline(OperatorId op) {
   const Rng base = root.fork("static").fork(op_name);
 
   struct CityRun {
-    bool tested = false;
     std::vector<double> dl, ul, rtt;
   };
-  const auto& cities = world_.route().cities();
-  std::vector<CityRun> runs(cities.size());
+  const std::vector<CityRun> runs = run_baseline_cities(
+      world_, op, base, ran::TrafficProfile::BackloggedDl,
+      baseline_span_name, jobs_, [&](BaselineCity& bc) {
+        CityRun cr;
+        ran::UeSimulator& ue = bc.ue;
+        const Rng& city_rng = bc.rng;
+        net::CubicFlow flow(city_rng.fork("tcp"));
+        Rng ping_rng = city_rng.fork("ping");
+        SimTime t = bc.noon;
 
-  parallel_for_each(jobs_, cities.size(), [&](std::size_t ci) {
-    const auto& city = cities[ci];
-    std::string city_span_name = baseline_span_name;
-    city_span_name += '.';
-    city_span_name += city.name;
-    const obs::Span city_span(city_span_name);
-    const ran::Cell* site = world_.best_5g_site(op, city);
-    if (!site) return;  // operator-city combo skipped, like the study
-    CityRun& cr = runs[ci];
-    cr.tested = true;
+        auto run_bulk = [&](Direction dir, std::vector<double>& sink) {
+          ue.set_traffic(dir == Direction::Downlink
+                             ? ran::TrafficProfile::BackloggedDl
+                             : ran::TrafficProfile::BackloggedUl);
+          flow.restart();
+          double window_bytes = 0.0;
+          Millis win{0.0};
+          for (Millis el{0.0}; el.value < timing.tput_test_ms; el += slot) {
+            const auto link = ue.step(t, bc.pos, Mph{0.0}, slot);
+            t += slot;
+            const Millis base_rtt =
+                link.air_latency * 2.0 + bc.server.one_way_delay * 2.0;
+            window_bytes += flow.step(slot, link.phy_rate(dir), base_rtt);
+            win += slot;
+            if (win.value >= timing.sample_window_ms) {
+              sink.push_back(window_bytes * 8.0 / win.value / 1e3);
+              window_bytes = 0.0;
+              win = Millis{0.0};
+            }
+          }
+        };
+        run_bulk(Direction::Downlink, cr.dl);
+        run_bulk(Direction::Uplink, cr.ul);
 
-    const Meters pos = site->route_pos;  // standing right by the site
-    const TimeZone tz = world_.corridor().at(pos).tz;
-    CivilTime noon;
-    noon.day = 1;
-    noon.hour = 12;
-    SimTime t = from_civil(noon, tz);
-    const auto server = world_.servers().select(op, pos, tz);
-
-    // Every stream this city consumes forks from its own label so cities
-    // never race (or depend) on one another's draws.
-    const Rng city_rng = base.fork(city.name);  // wheels-rng: dynamic(one stream per city)
-    ran::UeSimulator ue(world_.corridor(), world_.deployment(op),
-                        world_.profile(op), city_rng,
-                        ran::TrafficProfile::BackloggedDl, cfg_.spec.bands,
-                        world_.regime());
-    ue.set_favourable_conditions(true);
-    net::CubicFlow flow(city_rng.fork("tcp"));
-    Rng ping_rng = city_rng.fork("ping");
-
-    auto run_bulk = [&](Direction dir, std::vector<double>& sink) {
-      ue.set_traffic(dir == Direction::Downlink
-                         ? ran::TrafficProfile::BackloggedDl
-                         : ran::TrafficProfile::BackloggedUl);
-      flow.restart();
-      double window_bytes = 0.0;
-      Millis win{0.0};
-      for (Millis el{0.0}; el.value < timing.tput_test_ms; el += slot) {
-        const auto link = ue.step(t, pos, Mph{0.0}, slot);
-        t += slot;
-        const Millis base_rtt =
-            link.air_latency * 2.0 + server.one_way_delay * 2.0;
-        window_bytes += flow.step(slot, link.phy_rate(dir), base_rtt);
-        win += slot;
-        if (win.value >= timing.sample_window_ms) {
-          sink.push_back(window_bytes * 8.0 / win.value / 1e3);
-          window_bytes = 0.0;
-          win = Millis{0.0};
+        // RTT test (light ICMP traffic).
+        ue.set_traffic(ran::TrafficProfile::Idle);
+        Millis since_ping{1e9};
+        for (Millis el{0.0}; el.value < timing.rtt_test_ms; el += slot) {
+          const auto link = ue.step(t, bc.pos, Mph{0.0}, slot);
+          t += slot;
+          since_ping += slot;
+          if (since_ping.value >= timing.ping_interval_ms) {
+            since_ping = Millis{0.0};
+            if (const auto rtt = net::ping_rtt(
+                    link, bc.server.one_way_delay, ping_rng)) {
+              cr.rtt.push_back(rtt->value);
+            }
+          }
         }
-      }
-    };
-    run_bulk(Direction::Downlink, cr.dl);
-    run_bulk(Direction::Uplink, cr.ul);
+        return cr;
+      });
 
-    // RTT test (light ICMP traffic).
-    ue.set_traffic(ran::TrafficProfile::Idle);
-    Millis since_ping{1e9};
-    for (Millis el{0.0}; el.value < timing.rtt_test_ms; el += slot) {
-      const auto link = ue.step(t, pos, Mph{0.0}, slot);
-      t += slot;
-      since_ping += slot;
-      if (since_ping.value >= timing.ping_interval_ms) {
-        since_ping = Millis{0.0};
-        if (const auto rtt =
-                net::ping_rtt(link, server.one_way_delay, ping_rng)) {
-          cr.rtt.push_back(rtt->value);
-        }
-      }
-    }
-  });
-
-  // Merge in route (city) order: the output is a pure function of the
-  // config, never of worker scheduling.
-  for (const auto& cr : runs) {
-    if (!cr.tested) continue;
-    ++out.cities_tested;
+  StaticBaseline out;
+  out.op = op;
+  out.cities_tested = static_cast<int>(runs.size());
+  for (const CityRun& cr : runs) {
     out.dl_tput_mbps.insert(out.dl_tput_mbps.end(), cr.dl.begin(),
                             cr.dl.end());
     out.ul_tput_mbps.insert(out.ul_tput_mbps.end(), cr.ul.begin(),

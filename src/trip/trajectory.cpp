@@ -5,11 +5,6 @@
 namespace wheels::trip {
 namespace {
 
-TrajectoryPoint resolve(const TripPoint& pt, const ran::Corridor& corridor) {
-  const auto& seg = corridor.at(pt.position);
-  return {pt.time, pt.position, pt.speed, pt.day, seg.tz, seg.env};
-}
-
 // Mirrors the sequential runner's per-segment loop shape exactly: sample the
 // start state, then advance while the budget lasts and the trip is not done.
 // Empty segments (trip finished mid-cycle) are still recorded because replay
@@ -34,6 +29,26 @@ void record_segment(Trajectory& out, TripSimulator& trip,
 }
 
 }  // namespace
+
+TrajectoryPoint resolve(const TripPoint& pt, const ran::Corridor& corridor) {
+  const auto& seg = corridor.at(pt.position);
+  return {pt.time, pt.position, pt.speed, pt.day, seg.tz, seg.env};
+}
+
+void fill_batch(std::span<const TrajectoryPoint> points,
+                const ran::Deployment& dep,
+                const ran::OperatorProfile& profile,
+                ran::SegmentBatch& batch) {
+  batch.resize(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const TrajectoryPoint& pt = points[i];
+    batch.pos_m[i] = pt.position.value;
+    batch.speed_mph[i] = pt.speed.value;
+    batch.env[i] = pt.env;
+    batch.tz[i] = pt.tz;
+  }
+  ran::fill_nearest_cells(dep, profile, batch);
+}
 
 Trajectory record_trajectory(TripSimulator& trip, const ran::Corridor& corridor,
                              const CampaignConfig& cfg) {

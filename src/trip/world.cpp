@@ -1,6 +1,7 @@
 #include "trip/world.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "ran/scenario_profiles.h"
@@ -38,6 +39,7 @@ World::World(const scenario::ScenarioSpec& spec, std::uint64_t seed)
     : rng_(seed),
       route_(Route::from_spec(validated(spec).route)),
       corridor_(build_corridor(route_, rng_.fork("corridor"))),
+      bands_(spec.bands),
       regime_(ran::regime_from_spec(spec.load_regime)),
       servers_(edge_sites_from(route_)) {
   // Roster slot i realizes operators[i] (validate() pins the roster to
@@ -60,6 +62,12 @@ const ran::OperatorProfile& World::profile(ran::OperatorId op) const {
 
 const ran::Deployment& World::deployment(ran::OperatorId op) const {
   return *deployments_[static_cast<std::size_t>(op)];
+}
+
+ran::UeSimulator World::ue(ran::OperatorId op, Rng rng,
+                            ran::TrafficProfile traffic) const {
+  return ran::UeSimulator(corridor_, deployment(op), profile(op),
+                          std::move(rng), traffic, bands_, regime_);
 }
 
 const ran::Cell* World::best_5g_site(ran::OperatorId op,

@@ -1,11 +1,12 @@
 // The simulated world of one (scenario, seed) pair.
 //
 // Everything a runner reads but never consumes is built here once: the
-// root Rng stream, the route and its RAN corridor, the load regime, the
-// edge/cloud server selector, and per roster slot the realized operator
-// profile and its cell deployment. The drive campaign, the app campaign
-// and both static baselines all run in a World; each forks its own
-// processes (trip, UEs, transport) from rng().
+// root Rng stream, the route and its RAN corridor, the band plan, the load
+// regime, the edge/cloud server selector, and per roster slot the realized
+// operator profile and its cell deployment. The drive campaign, the app
+// campaign and both static baselines all run in a World; each forks its
+// own processes (trip, UEs, transport) from rng() and builds every UE
+// through ue(), so a UE is constructed the same way everywhere.
 #pragma once
 
 #include <array>
@@ -14,9 +15,11 @@
 
 #include "core/rng.h"
 #include "net/server.h"
+#include "radio/band.h"
 #include "ran/corridor.h"
 #include "ran/deployment.h"
 #include "ran/operator_profile.h"
+#include "ran/ue.h"
 #include "scenario/spec.h"
 #include "trip/route.h"
 #include "trip/trip_simulator.h"
@@ -46,6 +49,12 @@ class World {
   [[nodiscard]] const ran::OperatorProfile& profile(ran::OperatorId op) const;
   [[nodiscard]] const ran::Deployment& deployment(ran::OperatorId op) const;
 
+  // A UE of operator `op` in this world (its corridor, deployment,
+  // profile, the scenario's band plan and load regime) drawing from `rng`.
+  // The UE refers into the World, which must outlive it.
+  [[nodiscard]] ran::UeSimulator ue(ran::OperatorId op, Rng rng,
+                                    ran::TrafficProfile traffic) const;
+
   // The static baselines' test site near `city`: the nearest mmWave cell
   // of `op` within the urban core, else the nearest mid-band one, or
   // nullptr when the operator has neither there (the study skipped such
@@ -57,6 +66,7 @@ class World {
   Rng rng_;
   Route route_;
   ran::Corridor corridor_;
+  radio::BandPlan bands_;
   ran::LoadRegime regime_;
   net::ServerSelector servers_;
   // Indexed by OperatorId. UEs hold references into both, so a World

@@ -331,7 +331,7 @@ fi
 # GCC's path-sensitive analyzer (-fanalyzer) is experimental for C++, so
 # this stage first probes whether the installed g++ accepts it on a C++
 # TU and skips with a notice when it does not. It runs over src/core/
-# only: the deterministic substrate (rng, thread pool, event queue) is
+# only: the deterministic substrate (rng, thread pool, statistics) is
 # where a leak or null-deref found by symbolic execution would poison
 # everything above it.
 if [[ "${WHEELS_CI_FANALYZER:-1}" == 1 ]]; then

@@ -2,16 +2,24 @@
 // must be exactly the points the sequential campaign loop would have seen
 // (same TripSimulator fork, same schedule, same slot sizes), and the
 // segment index must tile the point array in schedule order — replay
-// correctness reduces to these two properties.
+// correctness reduces to these two properties. The replay half reads the
+// points through fill_batch, the one batch fill the drive replay, the app
+// campaign's idle gaps and the multipath printer share: its rows must be
+// the points, and a UE stepped through it must see what point steps see.
 #include "trip/trajectory.h"
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ran/kernel.h"
+#include "ran/ue.h"
 #include "trip/campaign.h"
 #include "trip/region.h"
 #include "trip/route.h"
+#include "trip/world.h"
 
 namespace wheels::trip {
 namespace {
@@ -149,6 +157,143 @@ TEST(Trajectory, SegmentsTileThePointsInScheduleOrder) {
     ASSERT_GT(traj.points[i].time.ms_since_epoch,
               traj.points[i - 1].time.ms_since_epoch)
         << "point " << i;
+  }
+}
+
+TEST(Trajectory, ResolveIsTheRecordersPointContext) {
+  // The public resolve() is what the recorder stores: a fresh trip on the
+  // same stream, advanced through the first test and the gap after it
+  // (slot and idle steps), resolves to the recorded points exactly.
+  const CampaignConfig cfg = test_cfg();
+  TripUnderTest recorded(cfg);
+  const Trajectory traj = record_trajectory(recorded.trip, recorded.corridor,
+                                            cfg);
+  TripUnderTest fresh(cfg);
+  ASSERT_GE(traj.segments.size(), std::size_t{2});
+  for (std::size_t s = 0; s < 2; ++s) {
+    const TrajectorySegment& seg = traj.segments[s];
+    for (std::size_t i = seg.begin; i < seg.end; ++i) {
+      const TrajectoryPoint pt =
+          resolve(fresh.trip.advance(seg.slot), fresh.corridor);
+      ASSERT_EQ(pt, traj.points[i]) << "point " << i;
+      const ran::CorridorSegment& here = fresh.corridor.at(pt.position);
+      ASSERT_EQ(pt.tz, here.tz) << "point " << i;
+      ASSERT_EQ(pt.env, here.env) << "point " << i;
+    }
+  }
+}
+
+// The paper-default drive recorded in its World, whose deployments and
+// profiles the fill reads.
+struct WorldDrive {
+  CampaignConfig cfg = test_cfg();
+  World world{cfg.spec, cfg.seed};
+  Trajectory traj;
+
+  WorldDrive() {
+    const Rng& root = world.rng();
+    TripSimulator trip(world.route(), world.corridor(), root.fork("trip"),
+                       drive_from_spec(cfg.spec));
+    traj = record_trajectory(trip, world.corridor(), cfg);
+  }
+};
+
+TEST(Trajectory, FillBatchRowsAreThePointsAndTheirNearestCells) {
+  // Sixteen 256-row runs spread over the drive, then a 17-row one, all
+  // through one reused batch (a phone's scratch, and the short last run
+  // of an idle gap). Every row holds its point's columns and the cells a
+  // one-row fill (a point step's own batch) finds for that point alone.
+  const WorldDrive d;
+  const std::span<const TrajectoryPoint> points(d.traj.points);
+  ASSERT_GT(points.size(), std::size_t{16 * 256});
+  std::vector<std::span<const TrajectoryPoint>> runs;
+  for (std::size_t k = 0; k < 16; ++k) {
+    runs.push_back(points.subspan(k * (points.size() / 16), 256));
+  }
+  runs.push_back(points.last(17));
+
+  for (const ran::OperatorId op : ran::kAllOperators) {
+    const ran::Deployment& dep = d.world.deployment(op);
+    const ran::OperatorProfile& prof = d.world.profile(op);
+    ran::SegmentBatch batch;
+    ran::SegmentBatch one;
+    std::size_t lte_rows = 0;
+    for (const std::span<const TrajectoryPoint> run : runs) {
+      fill_batch(run, dep, prof, batch);
+      ASSERT_EQ(batch.size(), run.size());
+      for (std::size_t r = 0; r < run.size(); ++r) {
+        const TrajectoryPoint& pt = run[r];
+        ASSERT_EQ(batch.pos_m[r], pt.position.value) << "row " << r;
+        ASSERT_EQ(batch.speed_mph[r], pt.speed.value) << "row " << r;
+        ASSERT_EQ(batch.env[r], pt.env) << "row " << r;
+        ASSERT_EQ(batch.tz[r], pt.tz) << "row " << r;
+
+        one.resize(1);
+        one.pos_m[0] = pt.position.value;
+        one.speed_mph[0] = pt.speed.value;
+        one.env[0] = pt.env;
+        one.tz[0] = pt.tz;
+        ran::fill_nearest_cells(dep, prof, one);
+        for (std::size_t l = 0; l < batch.layers.size(); ++l) {
+          ASSERT_EQ(batch.layers[l].cell[r], one.layers[l].cell[0])
+              << ran::to_string(op) << " layer " << l << " row " << r;
+          ASSERT_EQ(batch.layers[l].dist_m[r], one.layers[l].dist_m[0])
+              << ran::to_string(op) << " layer " << l << " row " << r;
+        }
+        const auto lte = static_cast<std::size_t>(radio::Tech::LTE);
+        if (batch.layers[lte].cell[r] != nullptr) ++lte_rows;
+      }
+    }
+    EXPECT_GT(lte_rows, std::size_t{0}) << ran::to_string(op);
+  }
+}
+
+TEST(Trajectory, FillBatchStepsLikePointSteps) {
+  // Two same-stream UEs over the first 40 segments of the drive, each
+  // segment under its test's traffic: one point-stepped at the recorded
+  // points, one stepped through fill_batch in runs of up to 256 rows (the
+  // app campaign's idle gap shape). Samples and handovers must agree.
+  const WorldDrive d;
+  const std::span<const TrajectoryPoint> points(d.traj.points);
+  const std::size_t segments = std::min<std::size_t>(d.traj.segments.size(),
+                                                     40);
+  for (const ran::OperatorId op : ran::kAllOperators) {
+    const Rng& root = d.world.rng();
+    const Rng stream = root.fork("fill-batch-test");
+    ran::UeSimulator point = d.world.ue(op, stream, ran::TrafficProfile::Idle);
+    ran::UeSimulator batched =
+        d.world.ue(op, stream, ran::TrafficProfile::Idle);
+    ran::SegmentBatch batch;
+    for (std::size_t s = 0; s < segments; ++s) {
+      const TrajectorySegment& seg = d.traj.segments[s];
+      ran::TrafficProfile traffic = ran::TrafficProfile::Idle;
+      if (seg.kind == SegmentKind::BulkDl) {
+        traffic = ran::TrafficProfile::BackloggedDl;
+      } else if (seg.kind == SegmentKind::BulkUl) {
+        traffic = ran::TrafficProfile::BackloggedUl;
+      } else if (seg.kind == SegmentKind::Rtt) {
+        traffic = ran::TrafficProfile::Interactive;
+      }
+      point.set_traffic(traffic);
+      batched.set_traffic(traffic);
+      for (std::size_t begin = seg.begin; begin < seg.end; begin += 256) {
+        const std::span<const TrajectoryPoint> run =
+            points.subspan(begin, std::min<std::size_t>(256, seg.end - begin));
+        fill_batch(run, d.world.deployment(op), d.world.profile(op), batch);
+        batched.begin_segment(batch);
+        for (std::size_t r = 0; r < run.size(); ++r) {
+          const ran::LinkSample a =
+              point.step(run[r].time, run[r].position, run[r].speed, seg.slot);
+          const ran::LinkSample b = batched.step(run[r].time, seg.slot, batch,
+                                                 r);
+          ASSERT_TRUE(a == b) << ran::to_string(op) << " point "
+                              << begin + r;
+        }
+      }
+    }
+    EXPECT_FALSE(point.handovers().empty()) << ran::to_string(op);
+    EXPECT_EQ(point.handovers(), batched.handovers()) << ran::to_string(op);
+    EXPECT_EQ(point.seen_cells(), batched.seen_cells()) << ran::to_string(op);
   }
 }
 

@@ -110,7 +110,7 @@ std::optional<std::string> read_payload(const std::string& path,
       payload.size()) {
     return std::nullopt;
   }
-  if (fnv1a(payload) != header->checksum) return std::nullopt;
+  if (!payload_matches(*header, payload)) return std::nullopt;
   return payload;
 }
 

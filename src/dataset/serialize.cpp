@@ -8,6 +8,20 @@
 namespace wheels::dataset {
 namespace {
 
+// The little-endian unsigned integer in the sizeof(T) bytes at `p`.
+template <typename T>
+T load_le(const char* p) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(static_cast<std::uint8_t>(p[i])) << (8 * i);
+    }
+  }
+  return v;
+}
+
 // Fixed little-endian byte order, independent of the host, so datasets are
 // portable between machines (and checksums comparable in CI). On a
 // little-endian host a fixed-width field is its in-memory bytes, copied
@@ -113,15 +127,7 @@ class ByteReader {
     }
     const char* p = data_.data() + pos_;
     pos_ += sizeof(T);
-    T v = 0;
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(&v, p, sizeof(T));
-    } else {
-      for (std::size_t i = 0; i < sizeof(T); ++i) {
-        v |= static_cast<T>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-      }
-    }
-    return v;
+    return load_le<T>(p);
   }
 
   std::string_view data_;
@@ -406,6 +412,62 @@ std::uint64_t fnv1a(std::string_view bytes) {
   return h;
 }
 
+namespace {
+
+// Odd multipliers (2^64 / golden ratio and the two splitmix64 constants),
+// so every multiply below is a bijection of 64-bit words.
+constexpr std::uint64_t kMulLane = 0x9E3779B97F4A7C15ull;
+constexpr std::uint64_t kMulTail = 0xBF58476D1CE4E5B9ull;
+constexpr std::uint64_t kMulMix = 0x94D049BB133111EBull;
+
+// One step of a lane or of the tail: for a fixed state it is a bijection
+// of the word, and for a fixed word a bijection of the state, so a changed
+// word leaves a changed state behind it whatever follows.
+constexpr std::uint64_t step(std::uint64_t state, std::uint64_t word,
+                             int rot, std::uint64_t mul) {
+  return std::rotl(state ^ word, rot) * mul;
+}
+
+}  // namespace
+
+std::uint64_t payload_checksum(std::string_view bytes) {
+  const char* p = bytes.data();
+  std::size_t left = bytes.size();
+  // Four independent lanes over 32-byte stripes: their multiplies overlap
+  // instead of waiting on one another as FNV-1a's byte chain does. Each
+  // lane starts from its own state, so equal words in two lanes differ.
+  std::uint64_t a = kMulLane;
+  std::uint64_t b = kMulTail;
+  std::uint64_t c = kMulMix;
+  std::uint64_t d = ~kMulLane;
+  for (; left >= 32; p += 32, left -= 32) {
+    a = step(a, load_le<std::uint64_t>(p), 31, kMulLane);
+    b = step(b, load_le<std::uint64_t>(p + 8), 31, kMulLane);
+    c = step(c, load_le<std::uint64_t>(p + 16), 31, kMulLane);
+    d = step(d, load_le<std::uint64_t>(p + 24), 31, kMulLane);
+  }
+  // Each lane enters the sum through its own rotation, so for fixed other
+  // lanes the sum is a bijection of any one of them.
+  std::uint64_t h =
+      a + std::rotl(b, 7) + std::rotl(c, 12) + std::rotl(d, 18);
+  for (; left >= 8; p += 8, left -= 8) {
+    h = step(h, load_le<std::uint64_t>(p), 27, kMulTail);
+  }
+  if (left > 0) {  // the last 1-7 bytes, as one zero-padded word
+    char last[8] = {};
+    std::memcpy(last, p, left);
+    h = step(h, load_le<std::uint64_t>(last), 23, kMulTail);
+  }
+  h ^= static_cast<std::uint64_t>(bytes.size());
+  // Avalanche: xor-shifts and odd multiplies, each a bijection.
+  h ^= h >> 31;
+  h *= kMulMix;
+  h ^= h >> 29;
+  h *= kMulLane;
+  h ^= h >> 32;
+  return h;
+}
+
 std::string encode(const trip::CampaignResult& r) {
   ByteWriter w;
   for (const auto& log : r.logs) put(w, log);
@@ -487,7 +549,7 @@ std::string encode_header(DatasetKind kind, std::uint64_t fingerprint,
   w.u8(static_cast<std::uint8_t>(kind));
   w.u64(fingerprint);
   w.u64(payload.size());
-  w.u64(fnv1a(payload));
+  w.u64(payload_checksum(payload));
   return w.take();
 }
 
@@ -532,6 +594,10 @@ std::optional<DatasetHeader> accept_header(std::string_view head,
   return h;
 }
 
+bool payload_matches(const DatasetHeader& header, std::string_view payload) {
+  return payload_checksum(payload) == header.checksum;
+}
+
 std::optional<std::string_view> unwrap_dataset(
     std::string_view file, DatasetKind expected_kind,
     std::uint64_t expected_fingerprint) {
@@ -539,7 +605,7 @@ std::optional<std::string_view> unwrap_dataset(
       accept_header(file, file.size(), expected_kind, expected_fingerprint);
   if (!h) return std::nullopt;
   const std::string_view payload = file.substr(kHeaderBytes);
-  if (fnv1a(payload) != h->checksum) return std::nullopt;
+  if (!payload_matches(*h, payload)) return std::nullopt;
   return payload;
 }
 

@@ -24,12 +24,13 @@ namespace wheels::dataset {
 
 // Bump whenever the encoded layout of any record changes, or when the
 // simulation bytes change for an unchanged fingerprint (v2: per-city ping
-// RNG streams in the static baseline). Readers reject files written under
-// a different version (no migration: datasets are cheap to regenerate from
-// the seed). Both pins are registered in tools/contracts.json -- bump the
-// registry (with a fresh golden) in the same change, or the
-// wheels-contract schema-pin rule fails CI.
-inline constexpr std::uint32_t kSchemaVersion = 2;
+// RNG streams in the static baseline), or when the container checksum
+// changes (v3: payload_checksum in place of FNV-1a). Readers reject files
+// written under a different version (no migration: datasets are cheap to
+// regenerate from the seed). Both pins are registered in
+// tools/contracts.json -- bump the registry (with a fresh golden) in the
+// same change, or the wheels-contract schema-pin rule fails CI.
+inline constexpr std::uint32_t kSchemaVersion = 3;
 
 inline constexpr std::string_view kMagic = "WDS1";
 
@@ -47,11 +48,21 @@ struct DatasetHeader {
   DatasetKind kind = DatasetKind::Campaign;
   std::uint64_t fingerprint = 0;  // of the producing config (fingerprint.h)
   std::uint64_t payload_bytes = 0;
-  std::uint64_t checksum = 0;  // FNV-1a over the payload bytes
+  std::uint64_t checksum = 0;  // payload_checksum of the payload bytes
 };
 
-// FNV-1a 64-bit over a byte range (also the checksum used in headers).
+// FNV-1a 64-bit over a byte range: the digest of a payload that the
+// golden, the dataset pins and the benchmark's expected digests record.
+// It reads one byte per step, so the container does not use it.
 [[nodiscard]] std::uint64_t fnv1a(std::string_view bytes);
+
+// The container's integrity checksum: 64 bits over the payload, read as
+// little-endian 8-byte words in four independent lanes of 32-byte stripes.
+// Every lane step is a bijection of its word, so a change confined to one
+// 8-byte word always changes the result. Like FNV-1a it catches accidents
+// (a torn write, a flipped bit), not attackers: the bounds-checked
+// decoders are the guard against hostile bytes.
+[[nodiscard]] std::uint64_t payload_checksum(std::string_view bytes);
 
 // --- payload encoding -------------------------------------------------------
 [[nodiscard]] std::string encode(const trip::CampaignResult& r);
@@ -93,10 +104,16 @@ inline constexpr std::size_t kHeaderBytes = 4 + 4 + 1 + 8 + 8 + 8;
 // accepts any config) and a payload length equal to what the file holds
 // after the header. `head` holds at least the first kHeaderBytes of a file
 // of `file_bytes` bytes. The checksum is left to the caller, which checks
-// it once the payload is in memory.
+// it with payload_matches once the payload is in memory.
 [[nodiscard]] std::optional<DatasetHeader> accept_header(
     std::string_view head, std::uint64_t file_bytes, DatasetKind expected_kind,
     std::uint64_t expected_fingerprint);
+
+// True when `payload` has the checksum that `header` records. The
+// payload's length is already checked by accept_header and enters the
+// checksum too.
+[[nodiscard]] bool payload_matches(const DatasetHeader& header,
+                                   std::string_view payload);
 
 // Validate the container end-to-end (accept_header, then the checksum) and
 // return a view of the payload.

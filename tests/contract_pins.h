@@ -15,7 +15,7 @@ namespace wheels::contract {
 
 // Dataset container format (src/dataset/serialize.h must agree; the
 // schema-pin rule cross-checks).
-inline constexpr std::uint32_t kSchemaVersion = 2;
+inline constexpr std::uint32_t kSchemaVersion = 3;
 inline constexpr std::string_view kDatasetMagic = "WDS1";
 
 // The golden campaign: FNV-1a checksum of encode(CampaignResult) for

@@ -1,10 +1,12 @@
 // Dataset serialization: byte-exact round-trips for every record type,
-// container/header validation, hostile cache files and payload mutation,
-// and fingerprint stability. Everything here runs on synthetic records (no
+// container/header validation, the container checksum's known answers and
+// bit-flip coverage, hostile cache files and payload mutation, and
+// fingerprint stability. Everything here runs on synthetic records (no
 // simulation), so it stays in the fast tier.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -249,7 +251,7 @@ TEST(DatasetContainer, WrapUnwrapRoundtrip) {
   EXPECT_EQ(header->kind, DatasetKind::StaticBaseline);
   EXPECT_EQ(header->fingerprint, fp);
   EXPECT_EQ(header->payload_bytes, payload.size());
-  EXPECT_EQ(header->checksum, fnv1a(payload));
+  EXPECT_EQ(header->checksum, payload_checksum(payload));
 
   const auto view = unwrap_dataset(file, DatasetKind::StaticBaseline, fp);
   ASSERT_TRUE(view.has_value());
@@ -301,6 +303,102 @@ TEST(DatasetContainer, RejectsMismatches) {
       static_cast<char>(corrupt[file.size() - 1] ^ 0x5a);
   EXPECT_FALSE(
       unwrap_dataset(corrupt, DatasetKind::StaticBaseline, fp).has_value());
+}
+
+TEST(DatasetContainer, PreviousSchemaIsAMiss) {
+  // A file as the FNV-1a container wrote it: version 2 and FNV-1a in the
+  // checksum field. It parses, so `info` can call it stale, but there is no
+  // fallback: unwrap refuses it and the caller re-simulates.
+  const std::string payload = encode(make_static_baseline());
+  std::string file = wrap_dataset(DatasetKind::StaticBaseline, 42, payload);
+  file[4] = 2;
+  const std::uint64_t fnv = fnv1a(payload);
+  for (std::size_t i = 0; i < 8; ++i) {
+    file[kHeaderBytes - 8 + i] = static_cast<char>((fnv >> (8 * i)) & 0xFFu);
+  }
+  ASSERT_TRUE(parse_header(file).has_value());
+  EXPECT_EQ(parse_header(file)->version, 2u);
+  EXPECT_EQ(parse_header(file)->checksum, fnv);
+  EXPECT_FALSE(
+      unwrap_dataset(file, DatasetKind::StaticBaseline, 42).has_value());
+}
+
+// --- payload checksum -------------------------------------------------------
+// The container checksum is part of the file format, so its values are
+// pinned as literals: a compiler or host that computed another value would
+// write files that every other build refuses.
+
+// Bytes of a 32-bit xorshift stream: the same on every host and compiler.
+std::string xorshift_bytes(std::size_t n) {
+  std::string out(n, '\0');
+  std::uint32_t x = 0x2545F491u;
+  for (char& c : out) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    c = static_cast<char>(x & 0xFFu);
+  }
+  return out;
+}
+
+// payload_checksum of the first n bytes of xorshift_bytes(80), for n = 0..80:
+// the empty payload, every tail of 1-31 bytes, and the 32-byte stripe
+// boundaries at 32 and 64.
+constexpr std::array<std::uint64_t, 81> kChecksumKnownAnswers{{
+    0x27ff86920d48e079ull, 0x066a00bb5b791835ull, 0x2b08b58b0b26ef4dull,
+    0x878ddc27e63629aaull, 0x57c537a6615a0d83ull, 0x0b908f753da8990full,
+    0xd9a7cc1cf01a8e0cull, 0x73173bc2a52a309cull, 0x34cb7e6f151cc8d6ull,
+    0xe0dcc968ee70d3bdull, 0x0c8b6a52ced61b4aull, 0x0e5115c1c74f5349ull,
+    0x8be6c3285f6e8242ull, 0xb84d62f91735119full, 0xd709b3645c5e80d4ull,
+    0x03c95267d6870ca0ull, 0x09dafa6c6ac89728ull, 0x3d5bbc072e2c7d28ull,
+    0x995ec4964039b20aull, 0x02a916d31c860af6ull, 0x3f0e2be1f9f0caceull,
+    0x36c410b130ff1a13ull, 0xbba7a548f4e603afull, 0xbf931fce130e9ae4ull,
+    0x2f7eb5084d977c62ull, 0x47fee0d330e55f86ull, 0xdf87fd283f910fcbull,
+    0xb432f7de94cd6896ull, 0xa8d9780fd0e9587aull, 0x14c66efd8c1365a6ull,
+    0x223990e3f593f00eull, 0x76c9941f310e9386ull, 0x39ef77a362a207b9ull,
+    0xae7cca19f0dda23aull, 0xbb37d2aaf8a01d87ull, 0x3b66ccfcc96b3806ull,
+    0x0ff91a2df6b1d08eull, 0x7b2666453da69473ull, 0x23a144c247425642ull,
+    0x84758c813cdafbfbull, 0x53c0695a0f3c392bull, 0x99ad5f87f191395aull,
+    0xc6387bbc5120b225ull, 0x814edd0a3a6877c2ull, 0x1abf435fc7310514ull,
+    0xe1961f1dd556f93eull, 0x3daa75889ab0cbc8ull, 0x85f6f8a91b0bc0adull,
+    0xfa63f9d915349a02ull, 0x05a9e102d3e02730ull, 0x5c70ed4217c18518ull,
+    0x394e79fe94027891ull, 0x02d0a8f90686d11eull, 0x29cf56493bff4008ull,
+    0x291808e08a7a89eeull, 0xb5977563ac2f05d3ull, 0xa6fc1721491e7f44ull,
+    0x122f742c6590cf9cull, 0x7a4328654bdfa2a2ull, 0xed4627ffa893436bull,
+    0xe087cf64745fb400ull, 0x805717567c0cbc69ull, 0xc3d503c34f3a49edull,
+    0xc23dd571ac9d750aull, 0xfff236a4056b887bull, 0x4270f05dbd039553ull,
+    0x4a1889a0057c5ba0ull, 0x29dd207d85c7726bull, 0x19f726f4a30f7d47ull,
+    0x8ba1ca8e0f7f71e1ull, 0x9df74418c51bbb18ull, 0x67a8780207dcbaecull,
+    0xbcd6320be734d323ull, 0xf00155f9d3518211ull, 0xa1350ca74a0f9dd7ull,
+    0xe3554303c38208aaull, 0xa9348c3704a18dbfull, 0x1f32775535649648ull,
+    0xe73def496db3b111ull, 0xd2129e72f18645abull, 0xc981068ec9a9d865ull,
+}};
+
+TEST(PayloadChecksum, KnownAnswers) {
+  const std::string bytes = xorshift_bytes(80);
+  for (std::size_t n = 0; n <= 80; ++n) {
+    EXPECT_EQ(payload_checksum(std::string_view(bytes).substr(0, n)),
+              kChecksumKnownAnswers[n])
+        << "length " << n;
+  }
+  EXPECT_EQ(payload_checksum(xorshift_bytes((std::size_t{1} << 20) + 3)),
+            0xc83deff83b3aadb0ull);
+}
+
+TEST(PayloadChecksum, EverySingleBitFlipChangesIt) {
+  Rng rng(21);
+  std::string buf(4096, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.uniform_index(256));
+  const std::uint64_t base = payload_checksum(buf);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      buf[i] = static_cast<char>(buf[i] ^ (1 << bit));
+      ASSERT_NE(payload_checksum(buf), base) << "byte " << i << " bit " << bit;
+      buf[i] = static_cast<char>(buf[i] ^ (1 << bit));
+    }
+  }
+  EXPECT_EQ(payload_checksum(buf), base);
+  EXPECT_NE(payload_checksum(buf + '\0'), base);
 }
 
 // --- hostile cache files ----------------------------------------------------

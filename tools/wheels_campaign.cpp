@@ -321,10 +321,17 @@ int cmd_info(const Options& o) {
             .load(header->kind, header->fingerprint,
                   op_for_file(name, header->kind, header->fingerprint))
             .has_value();
-    if (!ok) ++bad;
+    // A header of another schema version is a file an older or newer
+    // build wrote: a miss like a corrupt one, but not a broken file.
+    std::string status = "ok";
+    if (!ok) {
+      ++bad;
+      status = header->version != dataset::kSchemaVersion
+                   ? "stale (schema v" + std::to_string(header->version) + ")"
+                   : "CORRUPT";
+    }
     t.add_row({name, std::string(dataset::to_string(header->kind)), fp,
-               std::to_string(header->payload_bytes) + " B",
-               ok ? "ok" : "CORRUPT"});
+               std::to_string(header->payload_bytes) + " B", status});
   }
   t.print(std::cout);
   std::cout << files.size() << " dataset(s), " << bad << " invalid\n";

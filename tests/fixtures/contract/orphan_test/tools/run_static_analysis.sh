@@ -1,8 +1,6 @@
 #!/usr/bin/env bash
-# Miniature CI driver: one toggled stage, enough for the ci-stage and
+# Miniature CI driver: one stage function, enough for the ci-stage and
 # env-undeclared rules to parse.
 set -euo pipefail
 
-if [[ "${WHEELS_CI_SELFTEST:-1}" == 1 ]]; then
-  echo "selftest"
-fi
+stage_selftest() { echo "selftest"; }

@@ -136,6 +136,74 @@ class PinsHeader(unittest.TestCase):
             self.assertIn("[pins-stale]", out)
 
 
+class CiStages(unittest.TestCase):
+    """The ci-stage rule: registry stage ids and the driver's stage_<id>
+    functions map one to one. Exercised on temp copies of the good
+    fixture (one stage, `selftest`, and its stage_selftest function)."""
+
+    STAGE = {"id": "extra", "name": "extra", "quick": True, "doc": "x"}
+
+    def copy_good(self, tmp, stages=()):
+        root = os.path.join(tmp, "good")
+        shutil.copytree(os.path.join(FIXTURES, "good"), root)
+        reg_path = os.path.join(root, "tools", "contracts.json")
+        with open(reg_path, encoding="utf-8") as f:
+            reg = json.load(f)
+        reg["ci_stages"] += stages
+        with open(reg_path, "w", encoding="utf-8") as f:
+            json.dump(reg, f, indent=2)
+        with open(reg_path, encoding="utf-8") as f:
+            self.registry_lines = f.read().splitlines()
+        return root
+
+    def registry_line(self, needle, nth=1):
+        hits = [i for i, ln in enumerate(self.registry_lines, start=1)
+                if needle in ln]
+        return hits[nth - 1]
+
+    def test_stage_without_a_function_fires_at_its_id(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out, _ = run_contract_at(
+                self.copy_good(tmp, [self.STAGE]))
+            self.assertEqual(code, 1, out)
+            line = self.registry_line('"id": "extra"')
+            self.assertIn(f"tools/contracts.json:{line}: [ci-stage] "
+                          "registry stage 'extra' has no stage_extra "
+                          "function", out)
+
+    def test_function_without_a_stage_fires_at_its_definition(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = self.copy_good(tmp)
+            driver = os.path.join(root, "tools", "run_static_analysis.sh")
+            with open(driver, encoding="utf-8") as f:
+                lines = f.read().splitlines()
+            lines.append("stage_stray_one() { :; }")
+            with open(driver, "w", encoding="utf-8") as f:
+                f.write("\n".join(lines) + "\n")
+            code, out, _ = run_contract_at(root)
+            self.assertEqual(code, 1, out)
+            self.assertIn(f"tools/run_static_analysis.sh:{len(lines)}: "
+                          "[ci-stage] stage_stray_one has no registry "
+                          "ci_stages entry (id 'stray-one')", out)
+
+    def test_duplicate_id_fires_at_the_second_entry(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            dup = dict(self.STAGE, id="selftest")
+            code, out, _ = run_contract_at(self.copy_good(tmp, [dup]))
+            self.assertEqual(code, 1, out)
+            line = self.registry_line('"id": "selftest"', nth=2)
+            self.assertIn(f"tools/contracts.json:{line}: [ci-stage] stage "
+                          "id 'selftest' is declared twice", out)
+
+    def test_malformed_id_fires(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = dict(self.STAGE, id="Extra_Stage")
+            code, out, _ = run_contract_at(self.copy_good(tmp, [bad]))
+            self.assertEqual(code, 1, out)
+            self.assertIn("[ci-stage] registry stage 'extra' needs an id",
+                          out)
+
+
 class RegistryValidation(unittest.TestCase):
     def test_unreadable_registry_is_a_usage_error(self):
         with tempfile.TemporaryDirectory() as tmp:

@@ -138,6 +138,52 @@ class CollisionFixture(unittest.TestCase):
                             for r in results), out)
 
 
+class DuplicateForkFixture(unittest.TestCase):
+    """The lint duplicate-fork fixture's cases, ported: fork-collision
+    fires on everything the lexical rule proves and stays quiet on its
+    compliant patterns."""
+
+    def test_repeated_label_and_respelled_salt_fire(self):
+        code, out, _ = run_rng("duplicate_fork")
+        self.assertEqual(code, 1, out)
+        self.assertEqual(out.count("[fork-collision]"), 2, out)
+        self.assertIn("src/trip/dup_fork.cpp:11: [fork-collision] fork "
+                      "'cell'", out)
+        self.assertIn("collides with src/trip/dup_fork.cpp:10", out)
+        self.assertIn("src/trip/dup_fork.cpp:52: [fork-collision] fork "
+                      "'#7'", out)
+        self.assertIn("collides with src/trip/dup_fork.cpp:50", out)
+
+    def test_compliant_patterns_stay_quiet(self):
+        # Distinct labels, other scopes and parents, chained forks, the
+        # mention inside a string, 1'000 vs 1'001, "7" vs 7, and the
+        # declared dynamic labels.
+        _, out, _ = run_rng("duplicate_fork")
+        findings = [ln for ln in out.splitlines() if ": [" in ln]
+        self.assertEqual(len(findings), 2, out)
+        self.assertNotIn("[unlabeled-fork]", out)
+
+
+class ForkInStringLiteral(unittest.TestCase):
+    def test_fork_mentioned_in_a_string_is_not_a_fork(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_tree(tmp, {"src/doc.cpp": """\
+                namespace wheels {
+                const char* doc = "call rng.fork(cell) once";
+                }  // namespace wheels
+                """})
+            code, out, _ = run_rng(tmp)
+            self.assertEqual(code, 0, out)
+            self.assertIn("0 fork edges", out)
+
+    def test_fork_after_a_string_mention_still_counts(self):
+        code, out, _ = run_rng("duplicate_fork", "--dot")
+        self.assertEqual(code, 0, out)
+        self.assertIn('"param:src/trip/dup_fork.cpp:good_in_string:rng/cell"',
+                      out)
+        self.assertNotIn("once per scope", out)
+
+
 class ByValueFixture(unittest.TestCase):
     def test_copy_and_pass_by_value_fire(self):
         code, out, _ = run_rng("by_value")

@@ -27,7 +27,7 @@ mechanically:
 
 Usage:
   tools/wheels_arch.py [--root DIR] [--manifest FILE]
-                       [--format text|json|sarif]
+                       [--format text|json|sarif] [--list-rules]
   tools/wheels_arch.py --dot          # DOT module graph on stdout
 
 `--dot` writes a Graphviz digraph of the module-level include graph
@@ -40,15 +40,14 @@ errors.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import sarif  # noqa: E402  (sibling module, shared with the other tools)
+from wheels_check import (Finding, Report, gather_files,
+                          strip_comments_and_strings)
+import wheels_check
 
 RULES = {
     "layer-violation":
@@ -62,90 +61,20 @@ RULES = {
 }
 
 SCAN_DIRS = ("src", "tools", "bench", "tests", "examples")
-CPP_EXTENSIONS = (".cpp", ".h", ".hpp", ".cc")
-# Fixture miniature repos are independent trees checked by their own
-# tests; never mix their edges into the real graph.
-SKIP_DIR_PARTS = ("lint_fixtures", "fixtures")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 TEST_DIR = "tests/"
 
 
-@dataclass
-class Finding:
-    path: str
-    line: int
-    rule: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
-
-def findings_to_json(findings: list[Finding], files_scanned: int) -> str:
-    return json.dumps(
-        {
-            "tool": "wheels-arch",
-            "files_scanned": files_scanned,
-            "findings": [
-                {
-                    "rule": f.rule,
-                    "path": f.path,
-                    "line": f.line,
-                    "message": f.message,
-                } for f in findings
-            ],
-        },
-        indent=2,
-        sort_keys=True)
-
-
-def gather_files(root: str) -> list[str]:
-    """Repo-relative paths of every C++ source under the scan dirs,
-    sorted for deterministic reports."""
-    files = []
-    for scan in SCAN_DIRS:
-        base = os.path.join(root, scan)
-        if not os.path.isdir(base):
-            continue
-        for dirpath, dirnames, filenames in os.walk(base):
-            dirnames[:] = [
-                d for d in dirnames
-                if d not in SKIP_DIR_PARTS and not d.startswith("build")
-            ]
-            for name in filenames:
-                if name.endswith(CPP_EXTENSIONS):
-                    full = os.path.join(dirpath, name)
-                    files.append(
-                        os.path.relpath(full, root).replace(os.sep, "/"))
-    return sorted(files)
-
-
 def parse_includes(root: str, relpath: str) -> list[tuple[int, str]]:
-    """(line, include-text) pairs for every quoted include. Block
-    comments around directives are rare enough that a line scan with a
-    /* */ state machine is exact for this codebase."""
-    out = []
-    in_block = False
+    """(line, include-text) pairs for every quoted include outside
+    comments."""
     with open(os.path.join(root, relpath), encoding="utf-8",
               errors="replace") as f:
-        for lineno, line in enumerate(f, start=1):
-            if in_block:
-                end = line.find("*/")
-                if end == -1:
-                    continue
-                line = line[end + 2:]
-                in_block = False
-            stripped = line.split("//")[0]
-            start = stripped.find("/*")
-            if start != -1:
-                if "*/" not in stripped[start:]:
-                    in_block = True
-                stripped = stripped[:start]
-            m = INCLUDE_RE.match(stripped)
-            if m:
-                out.append((lineno, m.group(1)))
-    return out
+        text = strip_comments_and_strings(f.read())
+    return [(lineno, m.group(1))
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            if (m := INCLUDE_RE.match(line))]
 
 
 def resolve_include(root: str, includer: str, inc: str,
@@ -363,24 +292,16 @@ def render_dot(edges: list[tuple[str, int, str]],
 # --- driver -----------------------------------------------------------------
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", default=None,
-                        help="repo root to analyze (default: repo "
-                        "containing this script)")
+def add_arguments(parser) -> None:
     parser.add_argument("--manifest", default=None,
                         help="layer manifest path (default: "
                         "<root>/tools/layers.json)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text",
-                        help="findings output format (default: text)")
     parser.add_argument("--dot", action="store_true",
                         help="emit the DOT module graph and exit")
-    args = parser.parse_args(argv)
 
-    root = os.path.abspath(
-        args.root
-        or os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+def run(args) -> Report | int:
+    root = args.root
     manifest_path = args.manifest or os.path.join(root, "tools", "layers.json")
     try:
         manifest = load_manifest(manifest_path)
@@ -391,7 +312,7 @@ def main(argv: list[str]) -> int:
     layers: dict[str, list[str]] = manifest.get("layers", {})
     allowlist = set(manifest.get("orphan_allowlist", []))
 
-    files = gather_files(root)
+    files = gather_files(root, SCAN_DIRS)
     if not files:
         print(f"wheels-arch: no C++ sources found under {root}",
               file=sys.stderr)
@@ -427,23 +348,14 @@ def main(argv: list[str]) -> int:
     findings += check_cycles(adj)
     if not manifest_broken:
         findings += check_orphans(files, adj, allowlist)
+    return Report(findings, len(files),
+                  f"{len(files)} files, {len(edges)} include edges")
 
-    findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
 
-    if args.format == "json":
-        print(findings_to_json(findings, len(files)))
-    elif args.format == "sarif":
-        print(sarif.render_sarif("wheels-arch", RULES, findings))
-    else:
-        for f in findings:
-            print(f.render())
-        if findings:
-            print(f"wheels-arch: {len(findings)} finding(s) in "
-                  f"{len({f.path for f in findings})} file(s)")
-        else:
-            print(f"wheels-arch: OK ({len(files)} files, "
-                  f"{len(edges)} include edges)")
-    return 1 if findings else 0
+def main(argv: list[str]) -> int:
+    return wheels_check.main(argv, tool="wheels-arch", doc=__doc__,
+                             rules=RULES, run=run,
+                             add_arguments=add_arguments)
 
 
 if __name__ == "__main__":

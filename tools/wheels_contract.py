@@ -45,10 +45,10 @@ in the style of wheels_lint.py / wheels_arch.py:
   span-prefix         a registry metric/span prefix with no matching
                       string literal in src/, or a metric registered in
                       src/ whose name starts with no declared prefix.
-  ci-stage            a registry CI stage whose toggle is missing from
-                      the driver, whose --quick membership disagrees
-                      with the driver's QUICK guard, or a driver toggle
-                      the registry does not list.
+  ci-stage            a registry CI stage whose id is malformed or
+                      declared twice, or has no stage_<id> function in
+                      the driver (dashes written as underscores), or a
+                      driver stage_* function no registry stage names.
   ctest-registration  a tests/test_*.{cpp,py} file that is not wired
                       into tests/CMakeLists.txt (a test that never runs
                       is a pin that never pins).
@@ -61,26 +61,21 @@ Usage:
   tools/wheels_contract.py [--root DIR] [--format text|json|sarif]
                            [--fix-docs] [--fix-pins] [--list-rules]
 
-With --format=json, stdout carries the same single-object schema as the
-other tools ({"tool", "files_scanned", "findings": [{rule, path, line,
-message}]}); --format=sarif emits SARIF 2.1.0 via tools/sarif.py.
-
-Exits 0 when clean, 1 when any finding fires, 2 on usage/registry-read
-errors. --fix-docs / --fix-pins rewrite the derived artifacts from the
+The CLI, output formats and exit codes are the shared front end's
+(tools/wheels_check.py); an unreadable registry is a usage error (exit
+2). --fix-docs / --fix-pins rewrite the derived artifacts from the
 registry and exit 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import sarif  # noqa: E402  (sibling module, shared with the other tools)
+from wheels_check import Finding, Report, gather_files
+import wheels_check
 
 REGISTRY_REL = "tools/contracts.json"
 SCENARIOS_DIR_REL = "scenarios"
@@ -95,17 +90,14 @@ DOC_SCAN = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 BENCH_EXPECTED_REL = "perfbench/expected_seed42.json"
 
 CPP_SCAN_DIRS = ("src", "tools", "bench", "examples", "tests")
-CPP_EXTENSIONS = (".cpp", ".h", ".hpp", ".cc")
-# Fixture miniature repos are independent trees checked by their own
-# tests; never mix their pins into the real cross-check.
-SKIP_DIR_PARTS = ("lint_fixtures", "fixtures")
 
 # No \b: a C++ suffix (0x...ULL) would suppress the boundary. Any run of
 # exactly 16 hex digits counts; the lookahead rejects longer literals.
 HEX64_RE = re.compile(r"0[xX][0-9a-fA-F]{16}(?![0-9a-fA-F])")
 ENV_CALL_RE = re.compile(r"\b(?:getenv|setenv)\s*\(\s*\"(WHEELS_[A-Z0-9_]+)\"")
 SHELL_ENV_RE = re.compile(r"\b(WHEELS_[A-Z0-9_]+)\b")
-TOGGLE_RE = re.compile(r"\$\{(WHEELS_CI_[A-Z0-9_]+):-1\}")
+STAGE_ID_RE = re.compile(r"^[a-z][a-z0-9]*(?:-[a-z0-9]+)*$")
+STAGE_FUNCTION_RE = re.compile(r"^stage_(\w+)\s*\(\)", re.MULTILINE)
 METRIC_REG_RE = re.compile(
     r"\.(?:counter|gauge|histogram)\s*\(\s*\"([^\"]+)\"", re.S)
 SCHEMA_RE = re.compile(r"\bkSchemaVersion\s*=\s*(\d+)")
@@ -136,24 +128,13 @@ RULES = {
     "span-prefix":
         "metric/span name prefixes and src/ literals disagree",
     "ci-stage":
-        "CI driver stages/toggles disagree with the registry",
+        "CI driver stage functions and registry stage ids disagree",
     "ctest-registration":
         "tests/test_* file not registered in tests/CMakeLists.txt",
     "scenario-registry":
         "scenarios/*.json fails to parse, duplicates a name, or is "
         "missing from the README scenario table",
 }
-
-
-@dataclass
-class Finding:
-    path: str
-    line: int
-    rule: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
 # --- small IO helpers --------------------------------------------------------
@@ -168,31 +149,14 @@ def read_text(root: str, relpath: str) -> str | None:
         return None
 
 
-def gather_cpp_files(root: str) -> list[str]:
-    files = []
-    for scan in CPP_SCAN_DIRS:
-        base = os.path.join(root, scan)
-        if not os.path.isdir(base):
-            continue
-        for dirpath, dirnames, filenames in os.walk(base):
-            dirnames[:] = [
-                d for d in dirnames
-                if d not in SKIP_DIR_PARTS and not d.startswith("build")
-            ]
-            for name in filenames:
-                if name.endswith(CPP_EXTENSIONS):
-                    full = os.path.join(dirpath, name)
-                    files.append(
-                        os.path.relpath(full, root).replace(os.sep, "/"))
-    return sorted(files)
-
-
-def registry_line(registry_text: str, needle: str) -> int:
-    """Line of the first occurrence of `needle` in the raw registry text,
+def registry_line(registry_text: str, needle: str, nth: int = 1) -> int:
+    """Line of the nth occurrence of `needle` in the raw registry text,
     so registry-side findings point at the offending entry."""
-    pos = registry_text.find(needle)
-    if pos == -1:
-        return 1
+    pos = -1
+    for _ in range(nth):
+        pos = registry_text.find(needle, pos + 1)
+        if pos == -1:
+            return 1
     return registry_text.count("\n", 0, pos) + 1
 
 
@@ -573,11 +537,11 @@ def render_env_table(reg: dict, root: str) -> list[str]:
 
 
 def render_gates_table(reg: dict, root: str) -> list[str]:
-    lines = ["| Stage | Toggle | In `--quick` |", "|---|---|---|"]
+    lines = ["| Id | Stage | In `--quick` | Checks |", "|---|---|---|---|"]
     for stage in reg.get("ci_stages", []):
         quick = "yes" if stage.get("quick") else "no"
-        lines.append(
-            f"| {stage['name']} | `{stage['toggle']}=0` | {quick} |")
+        lines.append(f"| `{stage.get('id')}` | {stage.get('name')} | "
+                     f"{quick} | {stage.get('doc', '')} |")
     return lines
 
 
@@ -950,48 +914,55 @@ def check_spans(root: str, reg: dict, reg_text: str,
 
 
 def check_ci_stages(root: str, reg: dict, reg_text: str) -> list[Finding]:
+    """The driver runs the registry's roster by calling stage_<id> for
+    each stage, so every id needs exactly one function and every
+    function one id."""
     stages = reg.get("ci_stages", [])
     text = read_text(root, DRIVER_REL)
     if text is None or not stages:
         return []
+    functions: dict[str, int] = {}
+    for m in STAGE_FUNCTION_RE.finditer(text):
+        functions.setdefault(m.group(1), text.count("\n", 0, m.start()) + 1)
     findings = []
-    toggle_lines: dict[str, tuple[int, str]] = {}
-    for idx, line in enumerate(text.splitlines(), start=1):
-        for m in TOGGLE_RE.finditer(line):
-            toggle_lines.setdefault(m.group(1), (idx, line))
-    declared_toggles = {s.get("toggle") for s in stages}
+    seen: dict[str, int] = {}
     for stage in stages:
-        toggle = stage.get("toggle", "")
-        if toggle not in toggle_lines:
+        sid = stage.get("id")
+        if not isinstance(sid, str) or not STAGE_ID_RE.match(sid):
             findings.append(
                 Finding(
-                    REGISTRY_REL, registry_line(reg_text, f'"{toggle}"'),
+                    REGISTRY_REL,
+                    registry_line(reg_text, f'"name": "{stage.get("name")}"'),
                     "ci-stage",
-                    f"registry stage '{stage.get('name')}' names toggle "
-                    f"{toggle} but {DRIVER_REL} has no "
-                    f"${{{toggle}:-1}} gate"))
+                    f"registry stage '{stage.get('name')}' needs an id of "
+                    f"lowercase words joined by dashes, not {sid!r}"))
             continue
-        idx, line = toggle_lines[toggle]
-        guarded = '"$QUICK" == 0' in line
-        if stage.get("quick") and guarded:
+        needle = f'"id": "{sid}"'
+        seen[sid] = seen.get(sid, 0) + 1
+        if seen[sid] > 1:
             findings.append(
                 Finding(
-                    DRIVER_REL, idx, "ci-stage",
-                    f"stage '{stage.get('name')}' is skipped under --quick "
-                    "here but the registry declares quick: true"))
-        elif not stage.get("quick") and not guarded:
+                    REGISTRY_REL, registry_line(reg_text, needle, seen[sid]),
+                    "ci-stage",
+                    f"stage id '{sid}' is declared twice; an id names one "
+                    "stage_<id> function and one WHEELS_CI_SKIP entry"))
+            continue
+        function = sid.replace("-", "_")
+        if function not in functions:
             findings.append(
                 Finding(
-                    DRIVER_REL, idx, "ci-stage",
-                    f"stage '{stage.get('name')}' runs under --quick here "
-                    "but the registry declares quick: false"))
-    for toggle, (idx, _) in sorted(toggle_lines.items()):
-        if toggle not in declared_toggles:
+                    REGISTRY_REL, registry_line(reg_text, needle), "ci-stage",
+                    f"registry stage '{sid}' has no stage_{function} "
+                    f"function in {DRIVER_REL}"))
+    ids = {sid.replace("-", "_") for sid in seen}
+    for function, line in sorted(functions.items()):
+        if function not in ids:
             findings.append(
                 Finding(
-                    DRIVER_REL, idx, "ci-stage",
-                    f"driver gates a stage on {toggle} that no registry "
-                    "ci_stages entry declares"))
+                    DRIVER_REL, line, "ci-stage",
+                    f"stage_{function} has no registry ci_stages entry "
+                    f"(id '{function.replace('_', '-')}'), so the driver "
+                    "never runs it"))
     return findings
 
 
@@ -1091,32 +1062,44 @@ def check_scenario_registry(root: str, reg: dict) -> list[Finding]:
 # --- driver ------------------------------------------------------------------
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", default=None,
-                        help="repo root to analyze (default: repo "
-                        "containing this script)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text",
-                        help="findings output format (default: text)")
+def add_arguments(parser) -> None:
     parser.add_argument("--fix-docs", action="store_true",
                         help="regenerate the README tables from the "
                         "registry and exit")
     parser.add_argument("--fix-pins", action="store_true",
                         help="regenerate the pins header from the registry "
                         "and exit")
-    parser.add_argument("--list-rules", action="store_true")
-    args = parser.parse_args(argv)
 
-    if args.list_rules:
-        for rule, desc in RULES.items():
-            print(f"{rule:20s} {desc}")
-        return 0
 
-    root = os.path.abspath(
-        args.root
-        or os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+def fix(args, root: str, reg: dict) -> int:
+    if args.fix_pins:
+        pins_rel = reg.get("generated", {}).get("pins_header")
+        if not pins_rel:
+            print("wheels-contract: registry declares no "
+                  "generated.pins_header", file=sys.stderr)
+            return 2
+        with open(os.path.join(root, pins_rel), "w", encoding="utf-8") as f:
+            f.write(render_pins_header(reg))
+        print(f"wheels-contract: wrote {pins_rel}")
+    if args.fix_docs:
+        fixed = fix_docs(root, reg)
+        for name in fixed:
+            print(f"wheels-contract: regenerated {name} in {README_REL}")
+        missing = [
+            t for t in reg.get("generated", {}).get("readme_tables", [])
+            if t not in fixed
+        ]
+        for name in missing:
+            print(f"wheels-contract: {README_REL} has no markers for "
+                  f"{name}; add {table_marker(name, 'begin')} / "
+                  f"{table_marker(name, 'end')} first", file=sys.stderr)
+        if missing:
+            return 2
+    return 0
 
+
+def run(args) -> Report | int:
+    root = args.root
     reg_text = read_text(root, REGISTRY_REL)
     if reg_text is None:
         print(f"wheels-contract: cannot read {REGISTRY_REL} under {root}",
@@ -1130,33 +1113,9 @@ def main(argv: list[str]) -> int:
         return 2
 
     if args.fix_pins or args.fix_docs:
-        if args.fix_pins:
-            pins_rel = reg.get("generated", {}).get("pins_header")
-            if not pins_rel:
-                print("wheels-contract: registry declares no "
-                      "generated.pins_header", file=sys.stderr)
-                return 2
-            with open(os.path.join(root, pins_rel), "w",
-                      encoding="utf-8") as f:
-                f.write(render_pins_header(reg))
-            print(f"wheels-contract: wrote {pins_rel}")
-        if args.fix_docs:
-            fixed = fix_docs(root, reg)
-            for name in fixed:
-                print(f"wheels-contract: regenerated {name} in {README_REL}")
-            missing = [
-                t for t in reg.get("generated", {}).get("readme_tables", [])
-                if t not in fixed
-            ]
-            for name in missing:
-                print(f"wheels-contract: {README_REL} has no markers for "
-                      f"{name}; add {table_marker(name, 'begin')} / "
-                      f"{table_marker(name, 'end')} first", file=sys.stderr)
-            if missing:
-                return 2
-        return 0
+        return fix(args, root, reg)
 
-    cpp_files = gather_cpp_files(root)
+    cpp_files = gather_files(root, CPP_SCAN_DIRS)
 
     findings = check_registry(reg, REGISTRY_REL, reg_text)
     registry_broken = bool(findings)
@@ -1174,40 +1133,17 @@ def main(argv: list[str]) -> int:
         findings += check_ctest_registration(root)
         findings += check_scenario_registry(root, reg)
 
-    findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     files_scanned = len(cpp_files) + len(scenario_docs(root)) + sum(
         1 for doc in DOC_SCAN if os.path.exists(os.path.join(root, doc)))
+    return Report(findings, files_scanned,
+                  f"{files_scanned} files cross-checked against "
+                  "tools/contracts.json")
 
-    if args.format == "json":
-        print(json.dumps(
-            {
-                "tool": "wheels-contract",
-                "files_scanned": files_scanned,
-                "findings": [
-                    {
-                        "rule": f.rule,
-                        "path": f.path,
-                        "line": f.line,
-                        "message": f.message,
-                    } for f in findings
-                ],
-            },
-            indent=2,
-            sort_keys=True))
-        return 1 if findings else 0
-    if args.format == "sarif":
-        print(sarif.render_sarif("wheels-contract", RULES, findings))
-        return 1 if findings else 0
 
-    for f in findings:
-        print(f.render())
-    if findings:
-        print(f"wheels-contract: {len(findings)} finding(s) in "
-              f"{len({f.path for f in findings})} file(s)")
-        return 1
-    print(f"wheels-contract: OK ({files_scanned} files cross-checked "
-          "against tools/contracts.json)")
-    return 0
+def main(argv: list[str]) -> int:
+    return wheels_check.main(argv, tool="wheels-contract", doc=__doc__,
+                             rules=RULES, run=run,
+                             add_arguments=add_arguments)
 
 
 if __name__ == "__main__":

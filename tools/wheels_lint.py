@@ -65,32 +65,26 @@ Usage:
   tools/wheels_lint.py [--root DIR] [--no-format]
                        [--format text|json|sarif] [--list-rules]
 
-With --format=json, stdout carries a single JSON object
-({"tool", "files_scanned", "findings": [{rule, path, line, message}]})
-so CI can diff gate output structurally; notices go to stderr.
---format=sarif emits the same findings as SARIF 2.1.0 (tools/sarif.py)
-for code-scanning ingestion.
-
-Exits 0 when clean, 1 when any finding fires, 2 on usage errors.
+The CLI, output formats and exit codes are the shared front end's
+(tools/wheels_check.py); with --format=json or sarif the clang-format
+notice goes to stderr.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import re
 import shutil
 import subprocess
 import sys
-from dataclasses import dataclass
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import sarif  # noqa: E402  (sibling module, shared with the other tools)
+from wheels_check import (Finding, Report, RANGE_FOR_RE, collect_allows,
+                          collect_unordered_names, drop_allowed,
+                          gather_files, iterates_unordered,
+                          strip_comments_and_strings)
+import wheels_check
 
 SCAN_DIRS = ("src", "tests", "bench", "examples", "tools")
-CPP_EXTENSIONS = (".cpp", ".h", ".hpp", ".cc")
-SKIP_DIR_PARTS = ("build", "lint_fixtures", "fixtures")
 
 # Files allowed to touch raw entropy / wall-clock primitives.
 BANNED_RANDOM_ALLOWLIST = (
@@ -120,10 +114,6 @@ FLOAT_EQ_RE = re.compile(
     r"(?<![<>=!&|+\-*/%^])(?:==|!=)\s*[+-]?(?:{lit})(?![\w.])"
     r"|(?:{lit})\s*(?:==|!=)(?![=])".format(lit=FLOAT_LITERAL))
 
-UNORDERED_DECL_RE = re.compile(
-    r"\bstd\s*::\s*unordered_(?:map|set|multimap|multiset)\s*<")
-RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;()]*:\s*([^)]+)\)")
-
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\s*$", re.MULTILINE)
 
 # `recv.fork("label")` / `recv->fork(7)` with a string-literal label or
@@ -138,8 +128,6 @@ FORK_RE = re.compile(
     r"|(?P<salt>(?:0[xX][0-9a-fA-F']+|\d[\d']*)[uUlL]*))\s*\)")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
-
-ALLOW_RE = re.compile(r"//\s*wheels-lint:\s*allow\(([a-z\-, ]+)\)")
 
 RULES = {
     "banned-random":
@@ -174,105 +162,6 @@ RULES = {
 }
 
 
-@dataclass
-class Finding:
-    path: str
-    line: int
-    rule: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
-
-DIGIT_SEP_RE = re.compile(r"(\d)'([\da-fA-F])")
-
-
-def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
-    """Blank out comments, string and char literals, preserving line
-    structure so reported line numbers stay meaningful. With
-    `keep_strings`, ordinary string literals survive (raw strings and char
-    literals are still blanked) for rules that inspect literal contents.
-    C++14 digit separators (1'000) are removed first: the apostrophe would
-    otherwise read as a char-literal open and swallow source up to the
-    next apostrophe (separators never span lines, so line numbers hold)."""
-    prev = None
-    while prev != text:
-        prev = text
-        text = DIGIT_SEP_RE.sub(r"\1\2", text)
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c == "/" and nxt == "*":
-            i += 2
-            while i < n and not (text[i] == "*" and i + 1 < n
-                                 and text[i + 1] == "/"):
-                if text[i] == "\n":
-                    out.append("\n")
-                i += 1
-            i = min(i + 2, n)
-        elif c == "R" and nxt == '"':
-            # Raw string literal: R"delim( ... )delim"
-            m = re.match(r'R"([^(\s]*)\(', text[i:])
-            if m:
-                end = text.find(f"){m.group(1)}\"", i + m.end())
-                if end == -1:
-                    end = n
-                out.append("\n" * text.count("\n", i, end))
-                i = end + len(m.group(1)) + 2
-            else:
-                out.append(c)
-                i += 1
-        elif c == '"':
-            # Preserve the quoted path of an #include directive; blank out
-            # every other string literal.
-            line_start = text.rfind("\n", 0, i) + 1
-            is_include = re.match(r'\s*#\s*include\s*$', text[line_start:i])
-            start = i
-            i += 1
-            while i < n and text[i] != '"':
-                if text[i] == "\\":
-                    i += 1
-                i += 1
-            i += 1
-            if is_include or keep_strings:
-                out.append(text[start:i])
-        elif c == "'":
-            i += 1
-            while i < n and text[i] != "'":
-                if text[i] == "\\":
-                    i += 1
-                i += 1
-            i += 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def collect_allows(raw_lines: list[str]) -> dict[int, set[str]]:
-    """Line number (1-based) -> rules allowed there. An allow comment covers
-    its own line and the next line (so it can sit above the finding)."""
-    allows: dict[int, set[str]] = {}
-    for idx, line in enumerate(raw_lines, start=1):
-        m = ALLOW_RE.search(line)
-        if not m:
-            continue
-        rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
-        allows.setdefault(idx, set()).update(rules)
-        allows.setdefault(idx + 1, set()).update(rules)
-    return allows
-
-
-def rel(path: str, root: str) -> str:
-    return os.path.relpath(path, root).replace(os.sep, "/")
-
-
 def check_banned_random(relpath: str, lines: list[str]) -> list[Finding]:
     if relpath in BANNED_RANDOM_ALLOWLIST:
         return []
@@ -303,23 +192,6 @@ def check_float_eq(relpath: str, lines: list[str]) -> list[Finding]:
     return findings
 
 
-UNORDERED_NAME_RE = re.compile(
-    r"\bstd\s*::\s*unordered_(?:map|set|multimap|multiset)\s*<"
-    r"[^;{}]*?>\s*&?\s*(\w+)\s*[;={(,)]")
-
-
-def collect_unordered_names(lines: list[str]) -> set[str]:
-    """Names declared (anywhere in this file) with an unordered container
-    type. Textual, not type-aware -- good enough for this codebase, and
-    false positives can be suppressed inline."""
-    unordered_names: set[str] = set()
-    for line in lines:
-        if UNORDERED_DECL_RE.search(line):
-            for m in UNORDERED_NAME_RE.finditer(line):
-                unordered_names.add(m.group(1))
-    return unordered_names
-
-
 def check_unordered_iter(relpath: str, lines: list[str]) -> list[Finding]:
     unordered_names = collect_unordered_names(lines)
     findings = []
@@ -328,10 +200,7 @@ def check_unordered_iter(relpath: str, lines: list[str]) -> list[Finding]:
         if not m:
             continue
         target = m.group(1).strip()
-        base = re.split(r"[.\->\[(]", target)[-1] or target
-        candidates = {target, target.split(".")[-1].strip(),
-                      target.split("->")[-1].strip(), base.strip()}
-        if candidates & unordered_names:
+        if iterates_unordered(target, unordered_names):
             findings.append(
                 Finding(
                     relpath, idx, "unordered-iter",
@@ -630,85 +499,50 @@ def check_format(root: str, files: list[str]) -> tuple[list[Finding], bool]:
             lm = re.search(r":(\d+):", first)
             findings.append(
                 Finding(
-                    rel(path, root), int(lm.group(1)) if lm else 1, "format",
+                    path, int(lm.group(1)) if lm else 1, "format",
                     "clang-format --dry-run reports a diff (run clang-format "
                     "-i to fix)"))
     return findings, True
 
 
-def lint_file(path: str, root: str, module_dirs: set[str]) -> list[Finding]:
-    with open(path, encoding="utf-8", errors="replace") as f:
+def lint_file(root: str, relpath: str,
+              module_dirs: set[str]) -> list[Finding]:
+    with open(os.path.join(root, relpath), encoding="utf-8",
+              errors="replace") as f:
         raw = f.read()
-    relpath = rel(path, root)
-    allows = collect_allows(raw.splitlines())
     stripped = strip_comments_and_strings(raw)
+    with_strings = strip_comments_and_strings(raw, keep_strings=True)
     lines = stripped.splitlines()
 
     findings: list[Finding] = []
     findings += check_banned_random(relpath, lines)
     findings += check_float_eq(relpath, lines)
     findings += check_unordered_iter(relpath, lines)
-    findings += check_duplicate_fork(
-        relpath, strip_comments_and_strings(raw, keep_strings=True))
+    findings += check_duplicate_fork(relpath, with_strings)
     findings += check_static_local(relpath, stripped)
     findings += check_steady_clock(relpath, lines)
-    findings += check_fp_reassoc(
-        relpath, lines,
-        strip_comments_and_strings(raw, keep_strings=True).splitlines())
+    findings += check_fp_reassoc(relpath, lines, with_strings.splitlines())
     findings += check_pragma_once(relpath, stripped)
     findings += check_include_hygiene(relpath, stripped, module_dirs)
     findings += check_relative_include(relpath, stripped)
-
-    return [
-        f for f in findings if f.rule not in allows.get(f.line, set())
-    ]
+    return drop_allowed(findings,
+                        {relpath: collect_allows(raw, "wheels-lint")})
 
 
-def gather_files(root: str) -> list[str]:
-    files = []
-    for scan in SCAN_DIRS:
-        base = os.path.join(root, scan)
-        if not os.path.isdir(base):
-            continue
-        for dirpath, dirnames, filenames in os.walk(base):
-            dirnames[:] = [
-                d for d in dirnames
-                if d not in SKIP_DIR_PARTS and not d.startswith("build")
-            ]
-            for name in sorted(filenames):
-                if name.endswith(CPP_EXTENSIONS):
-                    files.append(os.path.join(dirpath, name))
-    return sorted(files)
-
-
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", default=None,
-                        help="repo root to lint (default: repo containing "
-                        "this script)")
+def add_arguments(parser) -> None:
     parser.add_argument("--no-format", action="store_true",
                         help="skip the clang-format check")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text", dest="output_format",
-                        help="findings output format (default: text)")
-    parser.add_argument("--list-rules", action="store_true")
-    args = parser.parse_args(argv)
 
-    if args.list_rules:
-        for rule, desc in RULES.items():
-            print(f"{rule:16s} {desc}")
-        return 0
 
-    root = os.path.abspath(
-        args.root
-        or os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+def run(args) -> Report | int:
+    root = args.root
     src = os.path.join(root, "src")
     module_dirs = {
         d for d in (os.listdir(src) if os.path.isdir(src) else [])
         if os.path.isdir(os.path.join(src, d))
     }
 
-    files = gather_files(root)
+    files = gather_files(root, SCAN_DIRS)
     if not files:
         print(f"wheels-lint: no C++ sources found under {root}",
               file=sys.stderr)
@@ -716,50 +550,23 @@ def main(argv: list[str]) -> int:
 
     findings: list[Finding] = []
     for path in files:
-        findings += lint_file(path, root, module_dirs)
+        findings += lint_file(root, path, module_dirs)
 
+    notes = []
     if not args.no_format:
         fmt_findings, ran = check_format(root, files)
         findings += fmt_findings
         if not ran:
-            notice_out = sys.stderr if args.output_format != "text" \
-                else sys.stdout
-            print("wheels-lint: note: clang-format not available; "
-                  "format check skipped", file=notice_out)
+            notes.append("wheels-lint: note: clang-format not available; "
+                         "format check skipped")
+    return Report(findings, len(files), f"{len(files)} files clean",
+                  notes=notes)
 
-    findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
 
-    if args.output_format == "sarif":
-        print(sarif.render_sarif("wheels-lint", RULES, findings))
-        return 1 if findings else 0
-
-    if args.output_format == "json":
-        print(json.dumps(
-            {
-                "tool": "wheels-lint",
-                "files_scanned": len(files),
-                "findings": [
-                    {
-                        "rule": f.rule,
-                        "path": f.path,
-                        "line": f.line,
-                        "message": f.message,
-                    } for f in findings
-                ],
-            },
-            indent=2,
-            sort_keys=True))
-        return 1 if findings else 0
-
-    for f in findings:
-        print(f.render())
-
-    if findings:
-        print(f"wheels-lint: {len(findings)} finding(s) in "
-              f"{len({f.path for f in findings})} file(s)")
-        return 1
-    print(f"wheels-lint: OK ({len(files)} files clean)")
-    return 0
+def main(argv: list[str]) -> int:
+    return wheels_check.main(argv, tool="wheels-lint", doc=__doc__,
+                             rules=RULES, run=run,
+                             add_arguments=add_arguments, rule_width=16)
 
 
 if __name__ == "__main__":

@@ -48,10 +48,13 @@ src/obs/rng_audit.h) can be cross-checked with --check-trace:
   trace-draw-mismatch with two traces (jobs=1 vs jobs=4), a stream whose
                       draw count differs between them
 
-Division of labor: wheels_lint's duplicate-fork stays the fast lexical
-same-scope check; this analyzer owns everything that needs the program
+Division of labor: this analyzer owns everything that needs the program
 view (cross-TU collisions, alias chains, the pinned graph, the runtime
-audit).
+audit), and fork-collision flags every case of wheels_lint's
+duplicate-fork fixture. But it scans src/ only, while forks also live in
+tests/, bench/, tools/ and examples/, so duplicate-fork stays the
+lexical same-scope check there. A `.fork(` inside a string literal is
+not a call.
 
 Suppress a finding with `// wheels-rng: allow(<rule>)` on the same line or
 the line directly above it. `// wheels-rng: dynamic(<reason>)` both
@@ -62,12 +65,12 @@ Usage:
                       [--fix-graph] [--dot] [--check-trace T1 [T2 ...]]
                       [--list-rules]
 
-Exits 0 when clean, 1 when any finding fires, 2 on usage errors.
+The CLI, output formats and exit codes are the shared front end's
+(tools/wheels_check.py); --format=json adds the fork-graph edge count.
 """
 
 from __future__ import annotations
 
-import argparse
 import bisect
 import json
 import os
@@ -75,12 +78,11 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import sarif  # noqa: E402  (sibling module, shared with the other tools)
-from wheels_lint import (  # noqa: E402
-    strip_comments_and_strings, collect_unordered_names, RANGE_FOR_RE)
-
-CPP_EXTENSIONS = (".cpp", ".h", ".hpp", ".cc")
+from wheels_check import (Finding, Report, RANGE_FOR_RE, collect_allows,
+                          collect_unordered_names, drop_allowed,
+                          gather_files, iterates_unordered,
+                          strip_comments_and_strings)
+import wheels_check
 
 RULES = {
     "fork-collision":
@@ -109,7 +111,6 @@ RULES = {
         "per-stream draw counts differ between two audit traces",
 }
 
-ALLOW_RE = re.compile(r"//\s*wheels-rng:\s*allow\(([a-z\-, ]+)\)")
 DYNAMIC_RE = re.compile(r"//\s*wheels-rng:\s*dynamic\(([^)]*)\)")
 
 FNV_OFFSET = 1469598103934665603
@@ -122,17 +123,6 @@ def fnv1a(s: str) -> int:
     for b in s.encode("utf-8"):
         h = ((h ^ b) * FNV_PRIME) & MASK64
     return h
-
-
-@dataclass
-class Finding:
-    path: str
-    line: int
-    rule: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
 # ---------------------------------------------------------------------------
@@ -333,36 +323,23 @@ def line_of(index: list[int], pos: int) -> int:
     return bisect.bisect_right(index, pos) + 1
 
 
-DIGIT_SEP_RE = re.compile(r"(\d)'([\da-fA-F])")
+def in_literal(literals: list[tuple[int, int]], pos: int) -> bool:
+    """Whether `pos` falls inside one of the sorted [start, end) spans."""
+    i = bisect.bisect_right(literals, (pos, float("inf"))) - 1
+    return i >= 0 and pos < literals[i][1]
 
 
-def strip_digit_separators(raw: str) -> str:
-    """C++14 digit separators (1'000.0) read as char literals to the
-    shared lexer and swallow everything to the next apostrophe; removing
-    them first keeps offsets line-accurate (separators never span
-    lines)."""
-    prev = None
-    while prev != raw:
-        prev = raw
-        raw = DIGIT_SEP_RE.sub(r"\1\2", raw)
-    return raw
-
-
-def collect_annotations(raw: str) -> tuple[dict, dict]:
-    allows: dict[int, set[str]] = {}
+def collect_dynamics(raw: str) -> dict[int, str]:
+    """Line -> reason of a `// wheels-rng: dynamic(<reason>)` comment,
+    which covers its own line and the next."""
     dynamics: dict[int, str] = {}
     for idx, line in enumerate(raw.splitlines(), start=1):
-        m = ALLOW_RE.search(line)
-        if m:
-            rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
-            allows.setdefault(idx, set()).update(rules)
-            allows.setdefault(idx + 1, set()).update(rules)
         d = DYNAMIC_RE.search(line)
         if d:
             reason = d.group(1).strip()
             dynamics[idx] = reason
             dynamics.setdefault(idx + 1, reason)
-    return allows, dynamics
+    return dynamics
 
 
 def parse_balanced(text: str, open_pos: int) -> tuple[str, int]:
@@ -418,17 +395,18 @@ def meminit_start(header: str) -> int | None:
     return after
 
 
-def extract_file(path: str, root: str) -> FileModel:
-    with open(path, encoding="utf-8", errors="replace") as f:
+def extract_file(root: str, relpath: str) -> FileModel:
+    with open(os.path.join(root, relpath), encoding="utf-8",
+              errors="replace") as f:
         raw = f.read()
-    relpath = os.path.relpath(path, root).replace(os.sep, "/")
-    text = strip_comments_and_strings(strip_digit_separators(raw),
-                                      keep_strings=True)
+    literals: list[tuple[int, int]] = []
+    text = strip_comments_and_strings(raw, keep_strings=True,
+                                      literals=literals)
     index = [i for i, ch in enumerate(text) if ch == "\n"]
     spans = build_spans(text)
-    allows, dynamics = collect_annotations(raw)
-    fm = FileModel(relpath, text, index, spans, allows=allows,
-                   dynamics=dynamics)
+    fm = FileModel(relpath, text, index, spans,
+                   allows=collect_allows(raw, "wheels-rng"),
+                   dynamics=collect_dynamics(raw))
 
     # Rng-typed declarations: locals, members and copy-inits.
     for m in RNG_DECL_RE.finditer(text):
@@ -491,10 +469,10 @@ def extract_file(path: str, root: str) -> FileModel:
                 "ref": bool(m.group("ref")), "pos": s.header_start,
             }
 
-    # Fork chains.
+    # Fork chains. A `.fork(` inside a string literal is prose, not a call.
     consumed: set[int] = set()
     for m in FORK_TOKEN_RE.finditer(text):
-        if m.start() in consumed:
+        if m.start() in consumed or in_literal(literals, m.start()):
             continue
         before = text[:m.start()]
         rm = RECV_RE.search(before)
@@ -854,10 +832,7 @@ def check_draw_in_unordered(models: list[FileModel]) -> list[Finding]:
                 {n for (_c, n) in fm.member_decls}
         for m in RANGE_FOR_RE.finditer(fm.text):
             target = m.group(1).strip()
-            base = re.split(r"[.\->\[(]", target)[-1] or target
-            candidates = {target, target.split(".")[-1].strip(),
-                          target.split("->")[-1].strip(), base.strip()}
-            if not (candidates & unordered):
+            if not iterates_unordered(target, unordered):
                 continue
             open_brace = fm.text.find("{", m.end())
             if open_brace == -1:
@@ -1103,34 +1078,10 @@ def check_trace_pair(a_path: str, a: dict, b_path: str,
 # Driver
 # ---------------------------------------------------------------------------
 
-def gather_files(root: str) -> list[str]:
-    files = []
-    base = os.path.join(root, "src")
-    for dirpath, dirnames, filenames in os.walk(base):
-        dirnames[:] = [d for d in dirnames if not d.startswith("build")]
-        for name in sorted(filenames):
-            if name.endswith(CPP_EXTENSIONS):
-                files.append(os.path.join(dirpath, name))
-    return sorted(files)
-
-
-def apply_allows(findings: list[Finding],
-                 models: list[FileModel]) -> list[Finding]:
-    allows = {fm.relpath: fm.allows for fm in models}
-    return [f for f in findings
-            if f.rule not in allows.get(f.path, {}).get(f.line, set())]
-
-
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", default=None,
-                        help="repo root to analyze (default: repo "
-                        "containing this script)")
+def add_arguments(parser) -> None:
     parser.add_argument("--graph", default=None,
                         help="pinned fork-graph manifest (default: "
                         "<root>/tools/rng_graph.json)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text", dest="output_format")
     parser.add_argument("--fix-graph", action="store_true",
                         help="rewrite the pinned manifest from the "
                         "current sources")
@@ -1141,17 +1092,10 @@ def main(argv: list[str]) -> int:
                         help="validate runtime audit JSONL trace(s) "
                         "against the static graph; with two traces also "
                         "compare per-stream draw counts")
-    parser.add_argument("--list-rules", action="store_true")
-    args = parser.parse_args(argv)
 
-    if args.list_rules:
-        for rule, desc in RULES.items():
-            print(f"{rule:20s} {desc}")
-        return 0
 
-    root = os.path.abspath(
-        args.root
-        or os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+def run(args) -> Report | int:
+    root = args.root
     if not os.path.isdir(os.path.join(root, "src")):
         print(f"wheels-rng: no src/ under {root}", file=sys.stderr)
         return 2
@@ -1159,8 +1103,8 @@ def main(argv: list[str]) -> int:
         args.graph or os.path.join(root, "tools", "rng_graph.json"))
     rel_graph = os.path.relpath(graph_path, root).replace(os.sep, "/")
 
-    files = gather_files(root)
-    models = [extract_file(p, root) for p in files]
+    files = gather_files(root, ("src",))
+    models = [extract_file(root, p) for p in files]
     graph = build_graph(models)
 
     if args.dot:
@@ -1194,38 +1138,21 @@ def main(argv: list[str]) -> int:
         findings += check_rng_by_value(models)
         findings += check_member_copy(models)
         findings += check_draw_in_unordered(models)
-        findings = apply_allows(findings, models)
+        findings = drop_allowed(findings,
+                                {fm.relpath: fm.allows for fm in models})
         findings += check_graph_drift(graph, graph_path, rel_graph)
 
-    findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-
-    if args.output_format == "sarif":
-        print(sarif.render_sarif("wheels-rng", RULES, findings))
-        return 1 if findings else 0
-    if args.output_format == "json":
-        print(json.dumps(
-            {
-                "tool": "wheels-rng",
-                "files_scanned": len(files),
-                "edges": len(canonical_edges(graph)),
-                "findings": [
-                    {"rule": f.rule, "path": f.path, "line": f.line,
-                     "message": f.message} for f in findings
-                ],
-            },
-            indent=2, sort_keys=True))
-        return 1 if findings else 0
-
-    for f in findings:
-        print(f.render())
-    if findings:
-        print(f"wheels-rng: {len(findings)} finding(s) in "
-              f"{len({f.path for f in findings})} file(s)")
-        return 1
     mode = "trace check" if args.check_trace else "static check"
-    print(f"wheels-rng: OK ({mode}: {len(files)} files, "
-          f"{len(canonical_edges(graph))} fork edges)")
-    return 0
+    edges = len(canonical_edges(graph))
+    return Report(findings, len(files),
+                  f"{mode}: {len(files)} files, {edges} fork edges",
+                  extra={"edges": edges})
+
+
+def main(argv: list[str]) -> int:
+    return wheels_check.main(argv, tool="wheels-rng", doc=__doc__,
+                             rules=RULES, run=run,
+                             add_arguments=add_arguments)
 
 
 if __name__ == "__main__":

@@ -4,21 +4,13 @@
 #include <cmath>
 #include <numbers>
 
+#include "core/fnv1a.h"
+
 namespace wheels {
 namespace {
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
-}
-
-// FNV-1a for string labels.
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 std::atomic<const RngHooks*> g_rng_hooks{nullptr};
@@ -73,7 +65,12 @@ Rng Rng::fork_impl(std::uint64_t salt, const char* label,
 Rng Rng::fork(std::uint64_t salt) const { return fork_impl(salt, nullptr, 0); }
 
 Rng Rng::fork(std::string_view label) const {
-  return fork_impl(fnv1a(label), label.data(), label.size());
+  // Fork labels hash from 1469598103934665603, the standard offset basis
+  // with its last decimal digit dropped. Every labelled fork salt, and so
+  // the golden checksum, depends on this value.
+  Fnv1a salt(1469598103934665603ull);
+  salt.bytes(label);
+  return fork_impl(salt.digest(), label.data(), label.size());
 }
 
 std::uint64_t Rng::next_u64() {

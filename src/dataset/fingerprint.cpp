@@ -1,27 +1,16 @@
 #include "dataset/fingerprint.h"
 
-#include <bit>
-
+#include "core/fnv1a.h"
 #include "scenario/spec.h"
 
 namespace wheels::dataset {
 namespace {
 
-class FnvHasher {
+// Fingerprints widen an int by sign extension (the scenario hash
+// zero-extends); both widenings are part of every cache file name.
+class FnvHasher : public Fnv1a {
  public:
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xFFu;
-      h_ *= 0x100000001B3ull;
-    }
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void i32(int v) { u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
-
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ull;
 };
 
 // Domain tags keep the four key spaces disjoint even for configs whose
@@ -50,7 +39,7 @@ std::uint64_t hash_campaign(const trip::CampaignConfig& cfg, int stride) {
   // Distinct scenarios (route, roster, bands, regime, app mix) must never
   // share a cache slot even when the timing fields coincide.
   h.u64(scenario::scenario_hash(cfg.spec));
-  return h.value();
+  return h.digest();
 }
 
 std::uint64_t hash_apps(const apps::AppCampaignConfig& cfg, int stride) {
@@ -62,7 +51,7 @@ std::uint64_t hash_apps(const apps::AppCampaignConfig& cfg, int stride) {
   h.f64(cfg.spec.drive.hours_per_day);
   h.i32(cfg.spec.drive.start_hour_local);
   h.u64(scenario::scenario_hash(cfg.spec));
-  return h.value();
+  return h.digest();
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <limits>
 
+#include "core/fnv1a.h"
+
 namespace wheels::dataset {
 namespace {
 
@@ -404,12 +406,9 @@ std::string_view to_string(DatasetKind k) {
 }
 
 std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
+  Fnv1a h;
+  h.bytes(bytes);
+  return h.digest();
 }
 
 namespace {

@@ -2,8 +2,8 @@
 //
 // Self-contained recursive-descent parser (no third-party dependency, per
 // the repo's no-new-deps rule). Objects preserve key order as a
-// vector<pair>, which keeps iteration deterministic and lets the scenario
-// layer report unknown keys in file order. Numbers parse via
+// vector<pair>, which keeps iteration deterministic: the scenario reader
+// reports an object's first unknown key in file order. Numbers parse via
 // std::from_chars so the result is locale-independent and round-trips the
 // shortest representation printed by to_json().
 #pragma once
@@ -17,8 +17,8 @@
 namespace wheels::scenario {
 
 // One parsed JSON value. A plain tagged struct rather than std::variant:
-// the handful of accessors the spec loader needs stay readable and the
-// error messages stay precise.
+// the scenario reader checks `kind` itself, so each type error names the
+// full path of the offending key.
 struct JsonValue {
   enum class Kind : int { Null, Bool, Number, String, Array, Object };
 

@@ -133,20 +133,26 @@ struct ScenarioSpec {
 // Throws std::invalid_argument describing the first violated constraint.
 void validate(const ScenarioSpec& spec);
 
+// spec.cpp names every field once, in one schema walk; the three functions
+// below visit it in the same canonical order.
+
 // Order-sensitive FNV-1a hash over every behavior-affecting field (name
 // and description excluded). Feeds dataset fingerprints so the
 // content-addressed cache keys distinct scenarios apart.
 [[nodiscard]] std::uint64_t scenario_hash(const ScenarioSpec& spec);
 
-// Parse a scenario JSON document: fields override paper_default(), unknown
-// keys throw. The result is validated before being returned.
+// Parse a scenario JSON document over paper_default(): objects merge key
+// by key, arrays replace the default wholesale, and unknown keys throw.
+// The result is validated before being returned.
 [[nodiscard]] ScenarioSpec parse_scenario_json(std::string_view text);
 
-// Full canonical serialization (every field, %.17g doubles); parsing the
-// output reproduces the spec exactly.
+// Full canonical serialization (every field, doubles in their shortest
+// round-trip form, inherited promotions left out); parsing the output
+// reproduces the spec exactly.
 [[nodiscard]] std::string to_json(const ScenarioSpec& spec);
 
-// Resolve a built-in name or a filesystem path to a validated spec.
+// Resolve a built-in name or a filesystem path to a validated spec. A
+// built-in name builds that one spec only.
 [[nodiscard]] ScenarioSpec load_scenario(const std::string& name_or_path);
 
 }  // namespace wheels::scenario

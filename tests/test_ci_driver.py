@@ -135,16 +135,19 @@ class StubbedRoster(unittest.TestCase):
 
 class RealQuickRun(unittest.TestCase):
     """The real --quick stage bodies, minus the ones that only build or
-    simulate (cli, scenario, trace, headers, werror) and the optional
-    clang-tidy."""
+    simulate (cli, scenario, trace, headers, werror), the optional
+    clang-tidy, and selftests: ctest runs the same four rule self-test
+    files as lint_rules, arch_rules, contract_rules and rng_rules, and the
+    stubbed cases above check that the roster calls the stage."""
 
     def test_quick_passes(self):
         code, out = run_driver(
             "--quick",
-            env={"WHEELS_CI_SKIP": "cli,scenario,trace,headers,werror,tidy"})
+            env={"WHEELS_CI_SKIP":
+                 "selftests,cli,scenario,trace,headers,werror,tidy"})
         self.assertEqual(code, 0, out)
-        for stage_id in ("selftests", "lint", "arch", "contract", "rng",
-                         "fanalyzer", "serve"):
+        for stage_id in ("lint", "arch", "contract", "rng", "fanalyzer",
+                         "serve"):
             self.assertIn(f"--- {stage_id}: OK", out)
         # Each analyzer's full-repo pass ran.
         self.assertIn("wheels-lint: OK", out)
@@ -157,6 +160,7 @@ class RealQuickRun(unittest.TestCase):
         # The serve smoke's loadgen report.
         self.assertIn('"byte_identical": true', out)
         self.assertIn('"failures": 0', out)
+        self.assertNotIn("--- selftests", out)
         # The campaign-generating audit is not a --quick stage.
         self.assertNotIn("rng audit cross-check", out)
         self.assertNotIn("rng-audit", out)

@@ -109,6 +109,13 @@ class OrphanTest(unittest.TestCase):
         _, out, _ = run_contract("orphan_test")
         self.assertNotIn("test_pin.cpp", out)
 
+    def test_cost_on_a_case_no_source_defines_fires(self):
+        code, out, _ = run_contract("orphan_test")
+        self.assertEqual(code, 1, out)
+        self.assertIn("tests/long_tests.cmake:6: [ctest-registration]", out)
+        self.assertIn("Costed.Renamed", out)
+        self.assertNotIn("Costed.Kept", out)
+
 
 class PinsHeader(unittest.TestCase):
     def test_missing_pins_header_fires_and_fix_pins_regenerates(self):

@@ -51,7 +51,12 @@ in the style of wheels_lint.py / wheels_arch.py:
                       driver stage_* function no registry stage names.
   ctest-registration  a tests/test_*.{cpp,py} file that is not wired
                       into tests/CMakeLists.txt (a test that never runs
-                      is a pin that never pins).
+                      is a pin that never pins), or a Suite.Case that
+                      tests/long_tests.cmake gives a COST but no
+                      TEST/TEST_F/TEST_P in tests/*.cpp defines (ctest
+                      ignores the properties of a test that does not
+                      exist, so a renamed long test would quietly lose
+                      its place at the front of a fresh build's run).
   scenario-registry   a scenarios/*.json library file that does not
                       parse, names a scenario twice, disagrees with its
                       filename, or is missing from the README scenario
@@ -83,6 +88,7 @@ SERIALIZE_REL = "src/dataset/serialize.h"
 DRIVER_REL = "tools/run_static_analysis.sh"
 TESTS_DIR_REL = "tests"
 TESTS_CMAKE_REL = "tests/CMakeLists.txt"
+LONG_TESTS_REL = "tests/long_tests.cmake"
 README_REL = "README.md"
 DOC_SCAN = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 # The benchmark's own record of the seed-42 stride-64 dataset digests;
@@ -102,6 +108,10 @@ METRIC_REG_RE = re.compile(
     r"\.(?:counter|gauge|histogram)\s*\(\s*\"([^\"]+)\"", re.S)
 SCHEMA_RE = re.compile(r"\bkSchemaVersion\s*=\s*(\d+)")
 MAGIC_RE = re.compile(r"\bkMagic\s*=\s*\"([^\"]*)\"")
+GTEST_CASE_RE = re.compile(r"\bTEST(?:_F|_P)?\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)")
+SET_TESTS_PROPERTIES_RE = re.compile(
+    r"\bset_tests_properties\s*\(([^)]*?)\bPROPERTIES\b", re.S)
+CASE_NAME_RE = re.compile(r"\b\w+\.\w+\b")
 CLI_SUBCOMMAND_RE = re.compile(r"command\s*==\s*\"([a-z][a-z0-9-]*)\"")
 CLI_FLAG_RE = re.compile(r"\barg\s*==\s*\"(-{1,2}[a-z][a-z-]*|-h)\"")
 GOLDEN_CONTEXT_RE = re.compile(r"[Gg]olden")
@@ -130,7 +140,8 @@ RULES = {
     "ci-stage":
         "CI driver stage functions and registry stage ids disagree",
     "ctest-registration":
-        "tests/test_* file not registered in tests/CMakeLists.txt",
+        "tests/test_* file not registered in tests/CMakeLists.txt, or a "
+        "tests/long_tests.cmake name that is no test",
     "scenario-registry":
         "scenarios/*.json fails to parse, duplicates a name, or is "
         "missing from the README scenario table",
@@ -987,6 +998,37 @@ def check_ctest_registration(root: str) -> list[Finding]:
                     f"{name} is not referenced by {TESTS_CMAKE_REL}; a test "
                     "that ctest never runs enforces nothing -- register it "
                     "or delete it"))
+    return findings + check_long_test_names(root, tests_dir)
+
+
+def check_long_test_names(root: str, tests_dir: str) -> list[Finding]:
+    """Every Suite.Case that long_tests.cmake gives a property must be a
+    gtest case some tests/*.cpp defines: ctest applies the properties of
+    a name that matches no test to nothing, without a word."""
+    text = read_text(root, LONG_TESTS_REL)
+    if text is None:
+        return []
+    defined = set()
+    for name in os.listdir(tests_dir):
+        if name.endswith((".cpp", ".cc")):
+            source = read_text(root, f"{TESTS_DIR_REL}/{name}") or ""
+            defined.update(f"{suite}.{case}"
+                           for suite, case in GTEST_CASE_RE.findall(source))
+    code = re.sub(r"#[^\n]*", "", text)  # comments keep their newlines
+    findings = []
+    for call in SET_TESTS_PROPERTIES_RE.finditer(code):
+        for case in CASE_NAME_RE.finditer(call.group(1)):
+            if case.group() in defined:
+                continue
+            line = code.count("\n", 0, call.start(1) + case.start()) + 1
+            findings.append(
+                Finding(
+                    LONG_TESTS_REL, line, "ctest-registration",
+                    f"{case.group()} is defined by no TEST/TEST_F/TEST_P "
+                    f"in {TESTS_DIR_REL}/*.cpp; ctest gives the properties "
+                    "of a test that does not exist to nothing, so a "
+                    "renamed long test quietly loses its COST -- rename "
+                    "it here too"))
     return findings
 
 

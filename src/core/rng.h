@@ -86,8 +86,10 @@ class Rng {
   Rng fork_impl(std::uint64_t salt, const char* label,
                 std::size_t label_len) const;
 
-  std::uint64_t s_[4];
-  std::uint64_t id_;
+  // Zeroed before init_state fills them, so no path (as the static
+  // analyzer sees it) reads an indeterminate word.
+  std::uint64_t s_[4] = {};
+  std::uint64_t id_ = 0;
 };
 
 }  // namespace wheels

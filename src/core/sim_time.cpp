@@ -1,5 +1,6 @@
 #include "core/sim_time.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -66,10 +67,16 @@ SimTime from_civil(const CivilTime& ct, TimeZone tz) {
 }
 
 std::string format_civil(const CivilTime& ct) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "D%d %02d:%02d:%02d.%03d", ct.day, ct.hour,
-                ct.minute, ct.second, ct.millisecond);
-  return buf;
+  // Formatted straight into the result, truncated at 47 characters. (GCC's
+  // -fanalyzer reads a std::string built from a char buffer as a use of
+  // uninitialized memory, zeroed buffer or not.)
+  std::string out(47, '\0');
+  const int n = std::snprintf(out.data(), out.size() + 1,
+                              "D%d %02d:%02d:%02d.%03d", ct.day, ct.hour,
+                              ct.minute, ct.second, ct.millisecond);
+  out.resize(static_cast<std::size_t>(
+      std::clamp(n, 0, static_cast<int>(out.size()))));
+  return out;
 }
 
 }  // namespace wheels

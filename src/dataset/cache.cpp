@@ -4,12 +4,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <system_error>
 
 #include "obs/metrics.h"
@@ -72,48 +73,6 @@ bool is_per_operator(DatasetKind kind) {
          kind == DatasetKind::AppStaticBaseline;
 }
 
-struct FileCloser {
-  void operator()(std::FILE* f) const { std::fclose(f); }
-};
-using File = std::unique_ptr<std::FILE, FileCloser>;
-
-// The verified payload of the cache file at `path`, or nullopt. The header
-// is checked against the file's size before anything is allocated, so a
-// header claiming more bytes than the file holds is a miss, never a huge
-// allocation; the payload is then read in one call straight into the
-// string that is returned.
-std::optional<std::string> read_payload(const std::string& path,
-                                        DatasetKind kind,
-                                        std::uint64_t fingerprint) {
-  // O_NONBLOCK so that a FIFO planted at a cache path is refused below
-  // instead of blocking the open until a writer appears; a regular file's
-  // reads ignore the flag.
-  const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
-  if (fd < 0) return std::nullopt;
-  const File f(::fdopen(fd, "rb"));
-  if (!f) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  struct stat st {};
-  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) return std::nullopt;
-  char head[kHeaderBytes];
-  if (std::fread(head, 1, sizeof head, f.get()) != sizeof head) {
-    return std::nullopt;
-  }
-  const auto header =
-      accept_header(std::string_view(head, sizeof head),
-                    static_cast<std::uint64_t>(st.st_size), kind, fingerprint);
-  if (!header) return std::nullopt;
-  std::string payload(static_cast<std::size_t>(header->payload_bytes), '\0');
-  if (std::fread(payload.data(), 1, payload.size(), f.get()) !=
-      payload.size()) {
-    return std::nullopt;
-  }
-  if (!payload_matches(*header, payload)) return std::nullopt;
-  return payload;
-}
-
 }  // namespace
 
 std::string resolve_cache_dir(const std::string& dir) {
@@ -140,18 +99,110 @@ std::string DatasetCache::path_for(DatasetKind kind, std::uint64_t fingerprint,
   return (fs::path(dir_) / file_name(kind, fingerprint, op)).string();
 }
 
+// Every dataset.cache.load span covers reading and checksumming: one for
+// the open and the header, one per piece. Decoding runs between the pieces,
+// outside every span, so the spans' total is the load time without the
+// decode.
+CacheFileReader::CacheFileReader(const std::string& path, DatasetKind kind,
+                                 std::uint64_t fingerprint,
+                                 std::size_t piece_bytes)
+    : piece_bytes_(piece_bytes) {
+  const obs::Span span("dataset.cache.load", "dataset");
+  // O_NONBLOCK so that a FIFO planted at a cache path is refused below
+  // instead of blocking the open until a writer appears; a regular file's
+  // reads ignore the flag.
+  fd_ = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  if (fd_ < 0) return;
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0 || !S_ISREG(st.st_mode)) return;
+  char head[kHeaderBytes];
+  if (::pread(fd_, head, sizeof head, 0) !=
+      static_cast<ssize_t>(sizeof head)) {
+    return;
+  }
+  // The header is checked against the file's size before anything is
+  // allocated, so a header claiming more bytes than the file holds is a
+  // miss, never a huge allocation.
+  header_ =
+      accept_header(std::string_view(head, sizeof head),
+                    static_cast<std::uint64_t>(st.st_size), kind, fingerprint);
+  if (!header_) return;
+  offset_ = kHeaderBytes;
+  pending_ = header_->payload_bytes;
+  // Room for one piece after an unread tail, which is shorter than the
+  // widest field. A payload shorter than a piece gets a buffer its size.
+  const std::size_t piece = static_cast<std::size_t>(
+      std::min<std::uint64_t>(piece_bytes_, pending_));
+  buf_ = std::make_unique_for_overwrite<char[]>(piece + sizeof(std::uint64_t));
+}
+
+CacheFileReader::~CacheFileReader() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+std::uint64_t CacheFileReader::payload_bytes() const {
+  return header_ ? header_->payload_bytes : 0;
+}
+
+std::string_view CacheFileReader::next(std::size_t unread, std::size_t need) {
+  if (!buf_) return {};
+  std::memmove(buf_.get(), buf_.get() + held_ - unread, unread);
+  held_ = unread;
+  while (held_ < need && pending_ > 0 && !short_read_) read_piece();
+  return {buf_.get(), held_};
+}
+
+void CacheFileReader::read_piece() {
+  const obs::Span span("dataset.cache.load", "dataset");
+  const std::size_t want = static_cast<std::size_t>(
+      std::min<std::uint64_t>(piece_bytes_, pending_));
+  // A regular file returns fewer bytes than asked only at its end, so a
+  // short read means the file shrank after its header was accepted.
+  if (::pread(fd_, buf_.get() + held_, want, static_cast<off_t>(offset_)) !=
+      static_cast<ssize_t>(want)) {
+    short_read_ = true;
+    return;
+  }
+  sum_.update(std::string_view(buf_.get() + held_, want));
+  held_ += want;
+  offset_ += want;
+  pending_ -= want;
+}
+
+bool CacheFileReader::verified() const {
+  return header_ && pending_ == 0 && !short_read_ &&
+         sum_.digest() == header_->checksum;
+}
+
+bool DatasetCache::read_entry(
+    DatasetKind kind, std::uint64_t fingerprint, ran::OperatorId op,
+    const std::function<bool(PayloadPieces&)>& consume) const {
+  CacheFileReader in(path_for(kind, fingerprint, op), kind, fingerprint,
+                     CacheFileReader::kPieceBytes);
+  // A corrupt file may decode to garbage before its checksum is known:
+  // the decoders are bounds-checked and cap every count by the declared
+  // bytes, and nothing decoded is kept unless the whole file verifies.
+  if (!in.opened() || !consume(in) || !in.verified()) {
+    cache_metrics().misses.inc();  // missing/corrupt/stale: re-simulate
+    return false;
+  }
+  cache_metrics().hits.inc();
+  cache_metrics().bytes_read.add(kHeaderBytes + in.payload_bytes());
+  return true;
+}
+
 std::optional<std::string> DatasetCache::load(DatasetKind kind,
                                               std::uint64_t fingerprint,
                                               ran::OperatorId op) const {
-  const obs::Span span("dataset.cache.load", "dataset");
-  auto payload = read_payload(path_for(kind, fingerprint, op), kind,
-                              fingerprint);
-  if (!payload) {  // missing/corrupt/stale: caller re-simulates
-    cache_metrics().misses.inc();
-    return std::nullopt;
-  }
-  cache_metrics().hits.inc();
-  cache_metrics().bytes_read.add(kHeaderBytes + payload->size());
+  std::string payload;
+  const auto drain = [&payload](PayloadPieces& in) {
+    payload.reserve(static_cast<std::size_t>(in.pending()));
+    for (std::string_view w = in.next(0, 1); !w.empty(); w = in.next(0, 1)) {
+      payload.append(w);
+    }
+    return true;
+  };
+  if (!read_entry(kind, fingerprint, op, drain)) return std::nullopt;
   return payload;
 }
 

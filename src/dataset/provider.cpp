@@ -117,16 +117,14 @@ std::shared_ptr<const Result> CampaignProvider::resolve_impl(
       }
     }
     if (use_cache_) {
-      if (const auto payload = cache_.load(kind, fp, op)) {
-        auto loaded = std::make_shared<Result>();
-        if (decode(*payload, *loaded)) {
-          const std::lock_guard<std::mutex> lock(mu_);
-          ++disk_hits_;
-          provider_metrics().disk_hits.inc();
-          note(kind, fp, "cache hit");
-          if (memoize_) memo.emplace(key, loaded);
-          return loaded;
-        }
+      auto loaded = std::make_shared<Result>();
+      if (cache_.load_into(kind, fp, op, *loaded)) {
+        const std::lock_guard<std::mutex> lock(mu_);
+        ++disk_hits_;
+        provider_metrics().disk_hits.inc();
+        note(kind, fp, "cache hit");
+        if (memoize_) memo.emplace(key, loaded);
+        return loaded;
       }
     }
     note(kind, fp, "simulating");

@@ -1,5 +1,6 @@
 #include "dataset/serialize.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstring>
@@ -58,19 +59,24 @@ class ByteWriter {
   std::string out_;
 };
 
-// Every read checks the bytes left once; a read past the end sets a sticky
-// failure flag and yields 0, so a decoder can run a whole record and test
-// failed() afterwards.
+// Every read checks the bytes left in its window once; a read past the
+// end of the payload sets a sticky failure flag and yields 0, so a decoder
+// can run a whole record and test failed() afterwards. Over a payload in
+// memory the window is the whole payload. Over pieces, a field that runs
+// past the window fetches the next one first (the slow path, once per
+// piece), so the per-field cost is the same single check.
 class ByteReader {
  public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
+  explicit ByteReader(std::string_view data)
+      : p_(data.data()), end_(data.data() + data.size()) {}
+  explicit ByteReader(PayloadPieces& in) : in_(&in) {}
 
   std::uint8_t u8() {
-    if (pos_ >= data_.size()) {
+    if (p_ == end_ && !refill(1)) {
       fail_ = true;
       return 0;
     }
-    return static_cast<std::uint8_t>(data_[pos_++]);
+    return static_cast<std::uint8_t>(*p_++);
   }
 
   std::uint32_t u32() { return fixed<std::uint32_t>(); }
@@ -95,13 +101,14 @@ class ByteReader {
     return v == 1;
   }
 
-  // Element counts are sanity-capped against the remaining bytes: each
-  // element takes at least `min_elem_bytes`, so a length prefix implying
-  // more data than the buffer holds is rejected immediately (instead of
-  // attempting a multi-gigabyte reserve on a corrupt file).
+  // Element counts are sanity-capped against the bytes still to come, the
+  // window's and those the pieces declare: each element takes at least
+  // `min_elem_bytes`, so a length prefix implying more data than the
+  // payload holds is rejected immediately (instead of attempting a
+  // multi-gigabyte reserve on a corrupt file).
   std::size_t size(std::size_t min_elem_bytes) {
     const std::uint64_t n = u64();
-    const std::size_t left = data_.size() - pos_;
+    const std::uint64_t left = window_left() + (in_ ? in_->pending() : 0);
     if (min_elem_bytes > 0 && n > left / min_elem_bytes) {
       fail_ = true;
       return 0;
@@ -118,22 +125,40 @@ class ByteReader {
   }
 
   [[nodiscard]] bool failed() const { return fail_; }
-  [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
+  // Every byte of the payload read, none left in the window or declared.
+  [[nodiscard]] bool exhausted() const {
+    return p_ == end_ && (in_ == nullptr || in_->pending() == 0);
+  }
 
  private:
+  [[nodiscard]] std::size_t window_left() const {
+    return static_cast<std::size_t>(end_ - p_);
+  }
+
   template <typename T>
   T fixed() {
-    if (data_.size() - pos_ < sizeof(T)) {
+    if (window_left() < sizeof(T) && !refill(sizeof(T))) {
       fail_ = true;
       return 0;
     }
-    const char* p = data_.data() + pos_;
-    pos_ += sizeof(T);
+    const char* p = p_;
+    p_ += sizeof(T);
     return load_le<T>(p);
   }
 
-  std::string_view data_;
-  std::size_t pos_ = 0;  // never past data_.size()
+  // The window holds fewer than `need` bytes: true once the next window
+  // (the unread tail, then more) holds `need`.
+  [[gnu::noinline]] bool refill(std::size_t need) {
+    if (in_ == nullptr) return false;
+    const std::string_view w = in_->next(window_left(), need);
+    p_ = w.data();
+    end_ = w.data() + w.size();
+    return w.size() >= need;
+  }
+
+  const char* p_ = nullptr;    // next unread byte of the window
+  const char* end_ = nullptr;  // end of the window
+  PayloadPieces* in_ = nullptr;
   bool fail_ = false;
 };
 
@@ -429,35 +454,68 @@ constexpr std::uint64_t step(std::uint64_t state, std::uint64_t word,
 
 }  // namespace
 
-std::uint64_t payload_checksum(std::string_view bytes) {
-  const char* p = bytes.data();
-  std::size_t left = bytes.size();
-  // Four independent lanes over 32-byte stripes: their multiplies overlap
-  // instead of waiting on one another as FNV-1a's byte chain does. Each
-  // lane starts from its own state, so equal words in two lanes differ.
-  std::uint64_t a = kMulLane;
-  std::uint64_t b = kMulTail;
-  std::uint64_t c = kMulMix;
-  std::uint64_t d = ~kMulLane;
-  for (; left >= 32; p += 32, left -= 32) {
+// Four independent lanes over 32-byte stripes: their multiplies overlap
+// instead of waiting on one another as FNV-1a's byte chain does. Each lane
+// starts from its own state, so equal words in two lanes differ.
+PayloadChecksum::PayloadChecksum()
+    : lanes_{kMulLane, kMulTail, kMulMix, ~kMulLane} {}
+
+void PayloadChecksum::stripes(const char* p, std::size_t n) {
+  std::uint64_t a = lanes_[0];
+  std::uint64_t b = lanes_[1];
+  std::uint64_t c = lanes_[2];
+  std::uint64_t d = lanes_[3];
+  for (const char* end = p + n; p != end; p += 32) {
     a = step(a, load_le<std::uint64_t>(p), 31, kMulLane);
     b = step(b, load_le<std::uint64_t>(p + 8), 31, kMulLane);
     c = step(c, load_le<std::uint64_t>(p + 16), 31, kMulLane);
     d = step(d, load_le<std::uint64_t>(p + 24), 31, kMulLane);
   }
+  lanes_[0] = a;
+  lanes_[1] = b;
+  lanes_[2] = c;
+  lanes_[3] = d;
+}
+
+void PayloadChecksum::update(std::string_view bytes) {
+  if (bytes.empty()) return;
+  total_ += bytes.size();
+  const char* p = bytes.data();
+  std::size_t left = bytes.size();
+  if (held_ > 0) {  // complete the stripe an earlier piece began
+    const std::size_t take = std::min(left, sizeof stripe_ - held_);
+    std::memcpy(stripe_ + held_, p, take);
+    held_ += take;
+    p += take;
+    left -= take;
+    if (held_ < sizeof stripe_) return;
+    stripes(stripe_, sizeof stripe_);
+    held_ = 0;
+  }
+  const std::size_t whole = left - left % sizeof stripe_;
+  stripes(p, whole);
+  held_ = left - whole;
+  std::memcpy(stripe_, p + whole, held_);
+}
+
+std::uint64_t PayloadChecksum::digest() const {
   // Each lane enters the sum through its own rotation, so for fixed other
   // lanes the sum is a bijection of any one of them.
-  std::uint64_t h =
-      a + std::rotl(b, 7) + std::rotl(c, 12) + std::rotl(d, 18);
+  std::uint64_t h = lanes_[0] + std::rotl(lanes_[1], 7) +
+                    std::rotl(lanes_[2], 12) + std::rotl(lanes_[3], 18);
+  // The payload's last size % 32 bytes: whole words, then the last 1-7
+  // bytes as one zero-padded word.
+  const char* p = stripe_;
+  std::size_t left = held_;
   for (; left >= 8; p += 8, left -= 8) {
     h = step(h, load_le<std::uint64_t>(p), 27, kMulTail);
   }
-  if (left > 0) {  // the last 1-7 bytes, as one zero-padded word
+  if (left > 0) {
     char last[8] = {};
     std::memcpy(last, p, left);
     h = step(h, load_le<std::uint64_t>(last), 23, kMulTail);
   }
-  h ^= static_cast<std::uint64_t>(bytes.size());
+  h ^= total_;
   // Avalanche: xor-shifts and odd multiplies, each a bijection.
   h ^= h >> 31;
   h *= kMulMix;
@@ -467,6 +525,12 @@ std::uint64_t payload_checksum(std::string_view bytes) {
   return h;
 }
 
+std::uint64_t payload_checksum(std::string_view bytes) {
+  PayloadChecksum sum;
+  sum.update(bytes);
+  return sum.digest();
+}
+
 std::string encode(const trip::CampaignResult& r) {
   ByteWriter w;
   for (const auto& log : r.logs) put(w, log);
@@ -474,17 +538,6 @@ std::string encode(const trip::CampaignResult& r) {
   w.i32(r.days);
   w.f64(r.drive_time.value);
   return w.take();
-}
-
-bool decode(std::string_view payload, trip::CampaignResult& out) {
-  ByteReader r(payload);
-  for (auto& log : out.logs) {
-    if (!get(r, log)) return false;
-  }
-  out.route_length = Meters{r.f64()};
-  out.days = r.i32();
-  out.drive_time = Millis{r.f64()};
-  return !r.failed() && r.exhausted();
 }
 
 std::string encode(const trip::StaticBaseline& b) {
@@ -500,8 +553,32 @@ std::string encode(const trip::StaticBaseline& b) {
   return w.take();
 }
 
-bool decode(std::string_view payload, trip::StaticBaseline& out) {
-  ByteReader r(payload);
+std::string encode(const apps::AppCampaignResult& r) {
+  ByteWriter w;
+  for (const auto& runs : r.runs) put_vec(w, runs);
+  return w.take();
+}
+
+std::string encode(const std::vector<apps::AppRunRecord>& runs) {
+  ByteWriter w;
+  put_vec(w, runs);
+  return w.take();
+}
+
+namespace {
+
+// --- one decoder body per dataset kind ---------------------------------------
+
+void get(ByteReader& r, trip::CampaignResult& out) {
+  for (auto& log : out.logs) {
+    if (!get(r, log)) return;
+  }
+  out.route_length = Meters{r.f64()};
+  out.days = r.i32();
+  out.drive_time = Millis{r.f64()};
+}
+
+void get(ByteReader& r, trip::StaticBaseline& out) {
   out.op = r.enum8<ran::OperatorId>(kMaxOperator);
   for (auto* vec : {&out.dl_tput_mbps, &out.ul_tput_mbps, &out.rtt_ms}) {
     const std::size_t n = r.size(sizeof(double));
@@ -512,32 +589,52 @@ bool decode(std::string_view payload, trip::StaticBaseline& out) {
     }
   }
   out.cities_tested = r.i32();
-  return !r.failed() && r.exhausted();
 }
 
-std::string encode(const apps::AppCampaignResult& r) {
-  ByteWriter w;
-  for (const auto& runs : r.runs) put_vec(w, runs);
-  return w.take();
-}
-
-bool decode(std::string_view payload, apps::AppCampaignResult& out) {
-  ByteReader r(payload);
+void get(ByteReader& r, apps::AppCampaignResult& out) {
   for (auto& runs : out.runs) {
-    if (!get_vec(r, runs)) return false;
+    if (!get_vec(r, runs)) return;
   }
+}
+
+void get(ByteReader& r, std::vector<apps::AppRunRecord>& out) {
+  get_vec(r, out);
+}
+
+// The body for `out`'s kind over `src` (a payload in memory or pieces):
+// true when every field decoded and no byte is left over.
+template <typename Source, typename Result>
+bool decode_from(Source& src, Result& out) {
+  ByteReader r(src);
+  get(r, out);
   return !r.failed() && r.exhausted();
 }
 
-std::string encode(const std::vector<apps::AppRunRecord>& runs) {
-  ByteWriter w;
-  put_vec(w, runs);
-  return w.take();
-}
+}  // namespace
 
+bool decode(std::string_view payload, trip::CampaignResult& out) {
+  return decode_from(payload, out);
+}
+bool decode(std::string_view payload, trip::StaticBaseline& out) {
+  return decode_from(payload, out);
+}
+bool decode(std::string_view payload, apps::AppCampaignResult& out) {
+  return decode_from(payload, out);
+}
 bool decode(std::string_view payload, std::vector<apps::AppRunRecord>& out) {
-  ByteReader r(payload);
-  return get_vec(r, out) && r.exhausted();
+  return decode_from(payload, out);
+}
+bool decode(PayloadPieces& in, trip::CampaignResult& out) {
+  return decode_from(in, out);
+}
+bool decode(PayloadPieces& in, trip::StaticBaseline& out) {
+  return decode_from(in, out);
+}
+bool decode(PayloadPieces& in, apps::AppCampaignResult& out) {
+  return decode_from(in, out);
+}
+bool decode(PayloadPieces& in, std::vector<apps::AppRunRecord>& out) {
+  return decode_from(in, out);
 }
 
 std::string encode_header(DatasetKind kind, std::uint64_t fingerprint,
@@ -593,10 +690,6 @@ std::optional<DatasetHeader> accept_header(std::string_view head,
   return h;
 }
 
-bool payload_matches(const DatasetHeader& header, std::string_view payload) {
-  return payload_checksum(payload) == header.checksum;
-}
-
 std::optional<std::string_view> unwrap_dataset(
     std::string_view file, DatasetKind expected_kind,
     std::uint64_t expected_fingerprint) {
@@ -604,7 +697,7 @@ std::optional<std::string_view> unwrap_dataset(
       accept_header(file, file.size(), expected_kind, expected_fingerprint);
   if (!h) return std::nullopt;
   const std::string_view payload = file.substr(kHeaderBytes);
-  if (!payload_matches(*h, payload)) return std::nullopt;
+  if (payload_checksum(payload) != h->checksum) return std::nullopt;
   return payload;
 }
 

@@ -7,7 +7,10 @@
 // config fingerprint, payload checksum). Readers are fully bounds-checked
 // and reject any file whose header, length, or checksum disagrees with the
 // payload, so a corrupt or stale cache entry degrades to re-simulation,
-// never to a wrong figure.
+// never to a wrong figure. Each kind has one decoder, which reads either
+// a payload in memory or one that arrives in pieces (PayloadPieces: the
+// cache's file reader, which checks the checksum once the last piece is
+// in).
 #pragma once
 
 #include <cstddef>
@@ -64,19 +67,67 @@ struct DatasetHeader {
 // decoders are the guard against hostile bytes.
 [[nodiscard]] std::uint64_t payload_checksum(std::string_view bytes);
 
+// payload_checksum fed in pieces: update() with consecutive pieces of a
+// payload, of any lengths, then digest() equals payload_checksum of their
+// concatenation. A partial 32-byte stripe waits for the next piece.
+class PayloadChecksum {
+ public:
+  PayloadChecksum();
+
+  void update(std::string_view bytes);
+  [[nodiscard]] std::uint64_t digest() const;
+
+ private:
+  // Folds the whole 32-byte stripes at `p` (n a multiple of 32) into the
+  // lanes.
+  void stripes(const char* p, std::size_t n);
+
+  std::uint64_t lanes_[4];
+  std::uint64_t total_ = 0;  // bytes so far
+  char stripe_[32] = {};     // the first held_ bytes of a partial stripe
+  std::size_t held_ = 0;
+};
+
 // --- payload encoding -------------------------------------------------------
 [[nodiscard]] std::string encode(const trip::CampaignResult& r);
 [[nodiscard]] std::string encode(const trip::StaticBaseline& b);
 [[nodiscard]] std::string encode(const apps::AppCampaignResult& r);
 [[nodiscard]] std::string encode(const std::vector<apps::AppRunRecord>& runs);
 
+// A payload that arrives in pieces, such as a cache file read a piece at
+// a time. The decoder holds a window of it and asks for the next one when
+// a field runs past the bytes the window has left.
+class PayloadPieces {
+ public:
+  // The next window: the last `unread` bytes of the previous window moved
+  // to its front, then more of the payload until the window holds at
+  // least `need` bytes. Shorter only when the payload ended or a read
+  // failed; empty at the end when `unread` is 0. Invalidates the previous
+  // window.
+  virtual std::string_view next(std::size_t unread, std::size_t need) = 0;
+  // Declared payload bytes that no window has held yet.
+  [[nodiscard]] virtual std::uint64_t pending() const = 0;
+
+ protected:
+  ~PayloadPieces() = default;
+};
+
 // Decoders return false (leaving `out` unspecified) on any malformed,
-// truncated, or out-of-range input.
+// truncated, or out-of-range input, or on bytes left over. Each kind has
+// one decoder body; the two overloads run it over memory or over pieces.
+// An element count is capped by the bytes still to come (the window plus
+// what `pending()` declares), so a corrupt count cannot size a buffer
+// beyond the payload's declared length.
 [[nodiscard]] bool decode(std::string_view payload, trip::CampaignResult& out);
 [[nodiscard]] bool decode(std::string_view payload, trip::StaticBaseline& out);
 [[nodiscard]] bool decode(std::string_view payload,
                           apps::AppCampaignResult& out);
 [[nodiscard]] bool decode(std::string_view payload,
+                          std::vector<apps::AppRunRecord>& out);
+[[nodiscard]] bool decode(PayloadPieces& in, trip::CampaignResult& out);
+[[nodiscard]] bool decode(PayloadPieces& in, trip::StaticBaseline& out);
+[[nodiscard]] bool decode(PayloadPieces& in, apps::AppCampaignResult& out);
+[[nodiscard]] bool decode(PayloadPieces& in,
                           std::vector<apps::AppRunRecord>& out);
 
 // --- container --------------------------------------------------------------
@@ -104,16 +155,10 @@ inline constexpr std::size_t kHeaderBytes = 4 + 4 + 1 + 8 + 8 + 8;
 // accepts any config) and a payload length equal to what the file holds
 // after the header. `head` holds at least the first kHeaderBytes of a file
 // of `file_bytes` bytes. The checksum is left to the caller, which checks
-// it with payload_matches once the payload is in memory.
+// it once it has read the whole payload.
 [[nodiscard]] std::optional<DatasetHeader> accept_header(
     std::string_view head, std::uint64_t file_bytes, DatasetKind expected_kind,
     std::uint64_t expected_fingerprint);
-
-// True when `payload` has the checksum that `header` records. The
-// payload's length is already checked by accept_header and enters the
-// checksum too.
-[[nodiscard]] bool payload_matches(const DatasetHeader& header,
-                                   std::string_view payload);
 
 // Validate the container end-to-end (accept_header, then the checksum) and
 // return a view of the payload.

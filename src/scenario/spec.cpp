@@ -21,6 +21,11 @@ namespace {
   throw std::invalid_argument("scenario: " + what);
 }
 
+// JSON numbers are doubles, which hold every integer up to 2^53 exactly:
+// the largest seed a document can carry, so the largest one to_json can
+// write for parse_scenario_json to read back.
+constexpr std::uint64_t kMaxSeed = std::uint64_t{1} << 53;
+
 // ---------------------------------------------------------------------------
 // The schema
 
@@ -143,7 +148,8 @@ class Reader {
   void field(std::string_view key, std::uint64_t& x) {
     if (const JsonValue* v = take(key)) {
       const double d = number(*v, key);
-      if (std::floor(d) != d || d < 0.0 || d > 9007199254740992.0) {
+      if (std::floor(d) != d || d < 0.0 ||
+          d > static_cast<double>(kMaxSeed)) {
         bad(path(key) + " must be a non-negative integer");
       }
       x = static_cast<std::uint64_t>(d);
@@ -620,6 +626,9 @@ void validate(const ScenarioSpec& spec) {
                     c == '-';
     if (!ok) bad("name must match [a-z0-9-]+: \"" + spec.name + "\"");
   }
+  if (spec.seed > kMaxSeed) {
+    bad("seed must be at most 2^53 (9007199254740992)");
+  }
 
   const TimingSpec& t = spec.timing;
   const std::pair<const char*, double> timings[] = {
@@ -671,8 +680,11 @@ void validate(const ScenarioSpec& spec) {
     const WaypointSpec& w = spec.route.waypoints[i];
     const std::string at = "route.waypoints[" + std::to_string(i) + "]";
     if (w.name.empty()) bad(at + ".name must not be empty");
-    if (w.lat < -90.0 || w.lat > 90.0) bad(at + ".lat out of [-90, 90]");
-    if (w.lon < -180.0 || w.lon > 180.0) bad(at + ".lon out of [-180, 180]");
+    // Written so that NaN fails too: to_json would print it as "nan".
+    if (!(-90.0 <= w.lat && w.lat <= 90.0)) bad(at + ".lat out of [-90, 90]");
+    if (!(-180.0 <= w.lon && w.lon <= 180.0)) {
+      bad(at + ".lon out of [-180, 180]");
+    }
     for (std::size_t j = 0; j < i; ++j) {
       if (spec.route.waypoints[j].name == w.name) {
         bad("duplicate waypoint name \"" + w.name + "\"");

@@ -74,17 +74,21 @@ obs::Histogram& latency_for(std::uint8_t kind) {
   return m.lat_other;
 }
 
-// Resolve the selector's scenario (library name or JSON path) and apply
-// the seed override. False + message on unknown/invalid scenarios.
+// Resolve the selector's scenario (library name or JSON path), apply the
+// seed override and validate the result. False + message on unknown or
+// invalid scenarios, an out-of-range seed included.
 bool try_resolve_spec(const DatasetSelector& sel, scenario::ScenarioSpec& spec,
                       std::string& err) {
   try {
     spec = scenario::load_scenario(sel.scenario);
+    if (sel.has_seed) {
+      spec.seed = sel.seed;
+      scenario::validate(spec);
+    }
   } catch (const std::exception& e) {
     err = e.what();
     return false;
   }
-  if (sel.has_seed) spec.seed = sel.seed;
   return true;
 }
 

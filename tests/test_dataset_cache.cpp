@@ -97,6 +97,34 @@ TEST(DatasetCache, GoldenChecksumPinsSeed42Dataset) {
       << " and rerun tools/wheels_contract.py --fix-pins --fix-docs";
 }
 
+// The provider decodes the golden file straight from disk, a piece at a
+// time; at the loader's piece length and at lengths where fields straddle
+// refills it must equal the in-memory decode of the same payload.
+TEST(DatasetCache, GoldenCampaignDecodesInPieces) {
+  const std::uint64_t fp = fingerprint(small_cfg());
+  const DatasetCache cache(kDir);
+  const auto payload =
+      cache.load(DatasetKind::Campaign, fp, ran::OperatorId::Verizon);
+  ASSERT_TRUE(payload.has_value()) << "expected a warm cache";
+  EXPECT_EQ(fnv1a(*payload), kGoldenCampaignChecksum);
+  trip::CampaignResult from_memory;
+  ASSERT_TRUE(decode(*payload, from_memory));
+
+  trip::CampaignResult loaded;
+  ASSERT_TRUE(cache.load_into(DatasetKind::Campaign, fp,
+                              ran::OperatorId::Verizon, loaded));
+  EXPECT_TRUE(loaded == from_memory);
+  const std::string path =
+      cache.path_for(DatasetKind::Campaign, fp, ran::OperatorId::Verizon);
+  for (const std::size_t piece : {std::size_t{4093}, std::size_t{7}}) {
+    CacheFileReader reader(path, DatasetKind::Campaign, fp, piece);
+    trip::CampaignResult out;
+    EXPECT_TRUE(decode(reader, out)) << "pieces of " << piece;
+    EXPECT_TRUE(reader.verified()) << "pieces of " << piece;
+    EXPECT_TRUE(out == from_memory) << "pieces of " << piece;
+  }
+}
+
 TEST(DatasetCache, CorruptFileFallsBackToSimulation) {
   const auto cfg = small_cfg();
   const std::uint64_t fp = fingerprint(cfg);

@@ -1,8 +1,9 @@
 // Dataset serialization: byte-exact round-trips for every record type,
-// container/header validation, the container checksum's known answers and
-// bit-flip coverage, hostile cache files and payload mutation, and
-// fingerprint stability. Everything here runs on synthetic records (no
-// simulation), so it stays in the fast tier.
+// container/header validation, the container checksum's known answers,
+// bit-flip coverage and piecewise form, the chunked file reader, hostile
+// cache files and payload mutation, and fingerprint stability. Everything
+// here runs on synthetic records (no simulation), so it stays in the fast
+// tier.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
@@ -401,6 +402,168 @@ TEST(PayloadChecksum, EverySingleBitFlipChangesIt) {
   EXPECT_NE(payload_checksum(buf + '\0'), base);
 }
 
+// The piecewise form gives the whole-payload value however the payload is
+// cut: pieces shorter than a word, a word, around a stripe.
+TEST(PayloadChecksum, PiecewiseEqualsWhole) {
+  const std::string bytes = xorshift_bytes(80);
+  const std::string big = xorshift_bytes((std::size_t{1} << 20) + 3);
+  std::vector<std::string_view> payloads;
+  for (std::size_t n = 0; n <= 80; ++n) {
+    payloads.push_back(std::string_view(bytes).substr(0, n));
+  }
+  payloads.emplace_back(big);
+  for (const std::size_t piece : {1, 7, 8, 31, 32, 33}) {
+    for (const std::string_view payload : payloads) {
+      PayloadChecksum sum;
+      for (std::size_t at = 0; at < payload.size(); at += piece) {
+        sum.update(payload.substr(at, piece));
+      }
+      EXPECT_EQ(sum.digest(), payload_checksum(payload))
+          << "length " << payload.size() << ", pieces of " << piece;
+    }
+  }
+  EXPECT_EQ(PayloadChecksum().digest(), kChecksumKnownAnswers[0]);
+}
+
+// --- chunked file reader ----------------------------------------------------
+// The provider decodes a cache file straight from disk, a piece at a time.
+// Piece lengths: one byte, lengths at which fields straddle refills, and
+// the loader's own.
+
+constexpr std::size_t kPieceLengths[] = {
+    1, 7, 8, 13, 31, 32, 33, CacheFileReader::kPieceBytes};
+constexpr std::uint64_t kChunkFp = 0xc0ffee00c0ffee00ULL;
+
+// A directory of its own for the running test, named after its suite and
+// name: ctest runs each test of this binary as its own, possibly
+// concurrent, process.
+class TestDir {
+ public:
+  TestDir() {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::string("dataset-") + info->test_suite_name() + "-" +
+           info->name();
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  ~TestDir() { std::filesystem::remove_all(dir_); }
+  TestDir(const TestDir&) = delete;
+  TestDir& operator=(const TestDir&) = delete;
+
+  [[nodiscard]] std::string path() const { return dir_.string(); }
+
+  // `bytes` written to the file `name` in this directory; its path.
+  std::string write(const std::string& name, std::string_view bytes) const {
+    const std::string path = (dir_ / name).string();
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return path;
+  }
+
+ private:
+  std::filesystem::path dir_;
+};
+
+// `in` written as a cache file decodes, at every piece length, to what the
+// in-memory decoder makes of its payload, and the reader verifies.
+template <typename T>
+void expect_chunked_equals_memory(const T& in, DatasetKind kind) {
+  const TestDir dir;
+  const std::string payload = encode(in);
+  T from_memory;
+  ASSERT_TRUE(decode(payload, from_memory));
+  const std::string path =
+      dir.write("entry.wds", wrap_dataset(kind, kChunkFp, payload));
+  for (const std::size_t piece : kPieceLengths) {
+    CacheFileReader reader(path, kind, kChunkFp, piece);
+    ASSERT_TRUE(reader.opened());
+    EXPECT_EQ(reader.payload_bytes(), payload.size());
+    T out;
+    EXPECT_TRUE(decode(reader, out)) << "pieces of " << piece;
+    EXPECT_TRUE(reader.verified()) << "pieces of " << piece;
+    EXPECT_TRUE(out == from_memory) << "pieces of " << piece;
+  }
+}
+
+TEST(ChunkedLoad, CampaignResult) {
+  expect_chunked_equals_memory(make_campaign_result(), DatasetKind::Campaign);
+}
+
+TEST(ChunkedLoad, StaticBaseline) {
+  expect_chunked_equals_memory(make_static_baseline(),
+                               DatasetKind::StaticBaseline);
+}
+
+TEST(ChunkedLoad, AppCampaignResult) {
+  expect_chunked_equals_memory(make_app_result(), DatasetKind::AppCampaign);
+}
+
+TEST(ChunkedLoad, AppRunVector) {
+  expect_chunked_equals_memory(
+      std::vector<AppRunRecord>{make_app_run(1), make_app_run(2),
+                                make_app_run(3)},
+      DatasetKind::AppStaticBaseline);
+}
+
+// A file cut short after its header was accepted: the decoder runs out of
+// bytes (the read came up short), so the load is refused, whether the cut
+// comes before the first piece or between two.
+TEST(ChunkedLoad, FileShortenedAfterItsHeaderIsAMiss) {
+  const TestDir dir;
+  const std::string payload = encode(make_campaign_result());
+  const std::string file =
+      wrap_dataset(DatasetKind::Campaign, kChunkFp, payload);
+  for (const std::size_t piece :
+       {std::size_t{7}, CacheFileReader::kPieceBytes}) {
+    for (const std::size_t keep : {kHeaderBytes, file.size() / 2,
+                                   file.size() - 1}) {
+      const std::string path = dir.write("entry.wds", file);
+      CacheFileReader reader(path, DatasetKind::Campaign, kChunkFp, piece);
+      ASSERT_TRUE(reader.opened());
+      std::filesystem::resize_file(path, keep);
+      CampaignResult out;
+      EXPECT_FALSE(decode(reader, out)) << piece << " " << keep;
+      EXPECT_FALSE(reader.verified()) << piece << " " << keep;
+    }
+  }
+  // Cut between two pieces of a drain.
+  const std::string path = dir.write("entry.wds", file);
+  CacheFileReader reader(path, DatasetKind::Campaign, kChunkFp, 64);
+  ASSERT_EQ(reader.next(0, 1).size(), 64u);
+  std::filesystem::resize_file(path, kHeaderBytes + 100);
+  EXPECT_TRUE(reader.next(0, 1).empty());  // the short piece is not served
+  EXPECT_EQ(reader.pending(), payload.size() - 64);
+  EXPECT_FALSE(reader.verified());
+}
+
+// A file rewritten in place after its header was accepted, with bytes that
+// decode: only the checksum can tell, and it does.
+TEST(ChunkedLoad, FileRewrittenAfterItsHeaderIsAMiss) {
+  const TestDir dir;
+  CampaignResult other = make_campaign_result();
+  other.logs[1].kpi[0].tput_mbps += 1.0;  // same length, other bytes
+  const std::string payload = encode(make_campaign_result());
+  const std::string rewrite = encode(other);
+  ASSERT_EQ(rewrite.size(), payload.size());
+  ASSERT_NE(rewrite, payload);
+  for (const std::size_t piece :
+       {std::size_t{7}, CacheFileReader::kPieceBytes}) {
+    const std::string path = dir.write(
+        "entry.wds", wrap_dataset(DatasetKind::Campaign, kChunkFp, payload));
+    CacheFileReader reader(path, DatasetKind::Campaign, kChunkFp, piece);
+    ASSERT_TRUE(reader.opened());
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(static_cast<std::streamoff>(kHeaderBytes));
+      f.write(rewrite.data(), static_cast<std::streamsize>(rewrite.size()));
+    }
+    CampaignResult out;
+    EXPECT_TRUE(decode(reader, out)) << piece;
+    EXPECT_TRUE(out == other) << piece;
+    EXPECT_FALSE(reader.verified()) << piece;
+  }
+}
+
 // --- hostile cache files ----------------------------------------------------
 // A file at a cache path is outside input: whatever it holds, load() must
 // count a miss and return nullopt (the caller re-simulates), never throw,
@@ -418,39 +581,37 @@ class HostileCacheFile : public ::testing::Test {
   static constexpr std::uint64_t kFp = 0x5eed5eed5eed5eedULL;
   static constexpr OperatorId kOp = OperatorId::TMobile;
 
-  // ctest runs each test of this binary as its own, possibly concurrent,
-  // process: one directory per test.
   HostileCacheFile()
-      : dir_(std::string("dataset-hostile-") +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name()),
-        cache_(dir_.string()),
+      : cache_(dir_.path()),
         payload_(encode(make_static_baseline())),
-        file_(wrap_dataset(kKind, kFp, payload_)) {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~HostileCacheFile() override { std::filesystem::remove_all(dir_); }
+        file_(wrap_dataset(kKind, kFp, payload_)) {}
 
   [[nodiscard]] std::string path() const {
     return cache_.path_for(kKind, kFp, kOp);
   }
 
   void write(std::string_view bytes) const {
-    std::ofstream os(path(), std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    dir_.write(DatasetCache::file_name(kKind, kFp, kOp), bytes);
   }
 
-  // The file now at path() must be one miss and nothing else.
+  // The file now at path() must be one miss and nothing else, both for
+  // load() and for the provider's path, load_into().
   void expect_miss(const std::string& what) const {
-    const std::int64_t misses = metric("dataset.cache.misses");
-    const std::int64_t hits = metric("dataset.cache.hits");
-    const std::int64_t bytes = metric("dataset.cache.bytes_read");
-    std::optional<std::string> got;
-    EXPECT_NO_THROW(got = cache_.load(kKind, kFp, kOp)) << what;
-    EXPECT_FALSE(got.has_value()) << what;
-    EXPECT_EQ(metric("dataset.cache.misses"), misses + 1) << what;
-    EXPECT_EQ(metric("dataset.cache.hits"), hits) << what;
-    EXPECT_EQ(metric("dataset.cache.bytes_read"), bytes) << what;
+    for (const bool into : {false, true}) {
+      const std::string how = what + (into ? " (load_into)" : " (load)");
+      const std::int64_t misses = metric("dataset.cache.misses");
+      const std::int64_t hits = metric("dataset.cache.hits");
+      const std::int64_t bytes = metric("dataset.cache.bytes_read");
+      bool got = true;
+      StaticBaseline out;
+      EXPECT_NO_THROW(got = into ? cache_.load_into(kKind, kFp, kOp, out)
+                                 : cache_.load(kKind, kFp, kOp).has_value())
+          << how;
+      EXPECT_FALSE(got) << how;
+      EXPECT_EQ(metric("dataset.cache.misses"), misses + 1) << how;
+      EXPECT_EQ(metric("dataset.cache.hits"), hits) << how;
+      EXPECT_EQ(metric("dataset.cache.bytes_read"), bytes) << how;
+    }
   }
 
   // Both readers apply the same header rules: the in-memory unwrap must
@@ -471,7 +632,7 @@ class HostileCacheFile : public ::testing::Test {
     return f;
   }
 
-  std::filesystem::path dir_;
+  TestDir dir_;
   DatasetCache cache_;
   std::string payload_;
   std::string file_;
@@ -479,17 +640,25 @@ class HostileCacheFile : public ::testing::Test {
 
 TEST_F(HostileCacheFile, IntactFileIsOneHit) {
   write(file_);
-  const std::int64_t hits = metric("dataset.cache.hits");
-  const std::int64_t misses = metric("dataset.cache.misses");
-  const std::int64_t bytes = metric("dataset.cache.bytes_read");
-  const auto got = cache_.load(kKind, kFp, kOp);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, payload_);
-  EXPECT_EQ(metric("dataset.cache.hits"), hits + 1);
-  EXPECT_EQ(metric("dataset.cache.misses"), misses);
-  // The whole file counts, header included.
-  EXPECT_EQ(metric("dataset.cache.bytes_read"),
-            bytes + static_cast<std::int64_t>(file_.size()));
+  for (const bool into : {false, true}) {
+    const std::int64_t hits = metric("dataset.cache.hits");
+    const std::int64_t misses = metric("dataset.cache.misses");
+    const std::int64_t bytes = metric("dataset.cache.bytes_read");
+    if (into) {
+      StaticBaseline out;
+      ASSERT_TRUE(cache_.load_into(kKind, kFp, kOp, out));
+      EXPECT_TRUE(out == make_static_baseline());
+    } else {
+      const auto got = cache_.load(kKind, kFp, kOp);
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(*got, payload_);
+    }
+    EXPECT_EQ(metric("dataset.cache.hits"), hits + 1);
+    EXPECT_EQ(metric("dataset.cache.misses"), misses);
+    // The whole file counts, header included.
+    EXPECT_EQ(metric("dataset.cache.bytes_read"),
+              bytes + static_cast<std::int64_t>(file_.size()));
+  }
 }
 
 TEST_F(HostileCacheFile, MissingFileIsAMiss) { expect_miss("no file"); }
@@ -548,11 +717,16 @@ TEST_F(HostileCacheFile, FifoIsAMissNotAHang) {
 // Random bytes overwritten anywhere in a payload: the decoder must reject
 // the mutant, or accept it only when it re-encodes to exactly the mutant's
 // bytes (the encoding is canonical, so an accepted payload is a real one).
+// The chunked decoder, reading the mutant from a cache file whose checksum
+// matches it, in pieces that make fields straddle refills, must reach the
+// same verdict and the same value.
 
 template <typename T>
 void expect_mutants_rejected_or_canonical(const std::string& payload,
+                                          DatasetKind kind,
                                           std::uint64_t seed) {
   constexpr int kTrials = 3000;
+  const TestDir dir;
   Rng rng(seed);
   int accepted = 0;
   for (int trial = 0; trial < kTrials; ++trial) {
@@ -563,9 +737,18 @@ void expect_mutants_rejected_or_canonical(const std::string& payload,
           static_cast<char>(rng.uniform_index(256));
     }
     T out;
-    if (!decode(mutant, out)) continue;
+    const bool decoded = decode(mutant, out);
+    CacheFileReader reader(
+        dir.write("mutant.wds", wrap_dataset(kind, kChunkFp, mutant)), kind,
+        kChunkFp, 7);
+    T chunked;
+    ASSERT_EQ(decode(reader, chunked) && reader.verified(), decoded)
+        << "trial " << trial;
+    if (!decoded) continue;
     ++accepted;
     ASSERT_EQ(encode(out), mutant) << "trial " << trial;
+    // Bytes, not ==: a mutant may hold a NaN.
+    ASSERT_EQ(encode(chunked), mutant) << "trial " << trial;
   }
   // Both outcomes occur, so neither branch is vacuous.
   EXPECT_GT(accepted, 0);
@@ -574,22 +757,23 @@ void expect_mutants_rejected_or_canonical(const std::string& payload,
 
 TEST(DatasetMutation, CampaignResult) {
   expect_mutants_rejected_or_canonical<CampaignResult>(
-      encode(make_campaign_result()), 1);
+      encode(make_campaign_result()), DatasetKind::Campaign, 1);
 }
 
 TEST(DatasetMutation, StaticBaseline) {
   expect_mutants_rejected_or_canonical<StaticBaseline>(
-      encode(make_static_baseline()), 2);
+      encode(make_static_baseline()), DatasetKind::StaticBaseline, 2);
 }
 
 TEST(DatasetMutation, AppCampaignResult) {
   expect_mutants_rejected_or_canonical<AppCampaignResult>(
-      encode(make_app_result()), 3);
+      encode(make_app_result()), DatasetKind::AppCampaign, 3);
 }
 
 TEST(DatasetMutation, AppRunVector) {
   expect_mutants_rejected_or_canonical<std::vector<AppRunRecord>>(
-      encode(std::vector<AppRunRecord>{make_app_run(1), make_app_run(2)}), 4);
+      encode(std::vector<AppRunRecord>{make_app_run(1), make_app_run(2)}),
+      DatasetKind::AppStaticBaseline, 4);
 }
 
 TEST(DatasetFingerprint, StableAndSensitive) {

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -362,10 +363,54 @@ TEST(ScenarioContract, MalformedDocumentsGetExactMessages) {
       // validate() runs on the parsed spec.
       {R"({"speed": {"urban_mph": -5}})",
        "speed.urban_mph must be a positive number"},
+      {R"({"seed": 9007199254740994})", "seed must be a non-negative integer"},
   };
   for (const auto& [doc, message] : cases) {
     EXPECT_EQ(error_of(doc), std::string("scenario: ") + message) << doc;
   }
+}
+
+// validate() messages for specs built in code: values no JSON document can
+// spell (NaN) or that the reader refuses first (a seed above 2^53).
+std::string validate_error(const ScenarioSpec& spec) {
+  try {
+    validate(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ScenarioContract, NanWaypointIsRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ScenarioSpec lat = paper_default();
+  lat.route.waypoints[1].lat = nan;
+  EXPECT_EQ(validate_error(lat),
+            "scenario: route.waypoints[1].lat out of [-90, 90]");
+  ScenarioSpec lon = paper_default();
+  lon.route.waypoints[0].lon = nan;
+  EXPECT_EQ(validate_error(lon),
+            "scenario: route.waypoints[0].lon out of [-180, 180]");
+  // The range ends themselves are valid.
+  ScenarioSpec ends = paper_default();
+  ends.route.waypoints[0].lat = -90.0;
+  ends.route.waypoints[0].lon = 180.0;
+  EXPECT_EQ(validate_error(ends), "");
+}
+
+// 2^53 is the largest seed a document carries exactly, so the largest
+// that to_json writes for the reader to read back.
+TEST(ScenarioContract, SeedsUpTo2To53RoundTrip) {
+  constexpr std::uint64_t kMax = std::uint64_t{1} << 53;
+  ScenarioSpec spec = paper_default();
+  spec.seed = kMax;
+  EXPECT_EQ(validate_error(spec), "");
+  EXPECT_EQ(parse_scenario_json(to_json(spec)).seed, kMax);
+  spec.seed = kMax + 2;  // the next integer a double holds
+  EXPECT_EQ(validate_error(spec),
+            "scenario: seed must be at most 2^53 (9007199254740992)");
+  EXPECT_EQ(error_of(to_json(spec)),
+            "scenario: seed must be a non-negative integer");
 }
 
 TEST(ScenarioContract, ObjectsMergeAndArraysReplace) {

@@ -274,6 +274,25 @@ TEST(ServeRouterErrors, UnknownScenarioGetsTypedError) {
   EXPECT_EQ(router.store().resident(), 0u);
 }
 
+// A seed override past 2^53 makes a spec that validate() refuses: a typed
+// BadScenario before anything resolves, not an Internal error thrown from
+// the dataset resolution.
+TEST(ServeRouterErrors, SeedAbove2To53GetsTypedError) {
+  Router router(hermetic_router_options());
+  SessionState session;
+  KpiQuery kpi;
+  kpi.dataset = fast_selector((std::uint64_t{1} << 53) + 2);
+  const auto [kind, reply] =
+      unwrap(router.handle(encode_request(Request{kpi}), session));
+  EXPECT_EQ(kind, static_cast<std::uint8_t>(QueryKind::KpiPercentiles));
+  ASSERT_TRUE(std::holds_alternative<ErrorReply>(reply));
+  EXPECT_EQ(std::get<ErrorReply>(reply).code, ErrorCode::BadScenario);
+  EXPECT_EQ(std::get<ErrorReply>(reply).message,
+            "scenario: seed must be at most 2^53 (9007199254740992)");
+  EXPECT_EQ(router.store().provider().campaign_simulations(), 0);
+  EXPECT_EQ(router.store().resident(), 0u);
+}
+
 TEST(ServeRouterErrors, FrameLayerErrorsCarryKindZero) {
   Router router(hermetic_router_options());
   SessionState session;

@@ -186,6 +186,10 @@ AppCampaignResult make_app_result() {
 TEST(DatasetRoundtrip, CampaignResult) {
   const CampaignResult in = make_campaign_result();
   const std::string payload = encode(in);
+  // The length and digest of each fixture's bytes are literal pins, so an
+  // encoder and a decoder that change the format together fail here.
+  EXPECT_EQ(payload.size(), 1929u);
+  EXPECT_EQ(fnv1a(payload), 0x8659bf251829187bull);
   CampaignResult out;
   ASSERT_TRUE(decode(payload, out));
   EXPECT_TRUE(in == out);
@@ -197,6 +201,8 @@ TEST(DatasetRoundtrip, CampaignResult) {
 TEST(DatasetRoundtrip, StaticBaseline) {
   const StaticBaseline in = make_static_baseline();
   const std::string payload = encode(in);
+  EXPECT_EQ(payload.size(), 97u);
+  EXPECT_EQ(fnv1a(payload), 0x62ae1cc97ca6b6b3ull);
   StaticBaseline out;
   ASSERT_TRUE(decode(payload, out));
   EXPECT_TRUE(in == out);
@@ -206,6 +212,8 @@ TEST(DatasetRoundtrip, StaticBaseline) {
 TEST(DatasetRoundtrip, AppCampaignResult) {
   const AppCampaignResult in = make_app_result();
   const std::string payload = encode(in);
+  EXPECT_EQ(payload.size(), 918u);
+  EXPECT_EQ(fnv1a(payload), 0xba87f9f5aa8fc953ull);
   AppCampaignResult out;
   ASSERT_TRUE(decode(payload, out));
   EXPECT_TRUE(in == out);
@@ -216,6 +224,8 @@ TEST(DatasetRoundtrip, AppRunVector) {
   const std::vector<AppRunRecord> in = {make_app_run(1), make_app_run(2),
                                         make_app_run(3)};
   const std::string payload = encode(in);
+  EXPECT_EQ(payload.size(), 455u);
+  EXPECT_EQ(fnv1a(payload), 0xb8287d1c18828005ull);
   std::vector<AppRunRecord> out;
   ASSERT_TRUE(decode(payload, out));
   EXPECT_TRUE(in == out);

@@ -2,15 +2,16 @@
 //
 // The simulate -> analyze split hinges on a stable on-disk form of every
 // record the campaign produces (mirroring the study's consolidated XCAL
-// database): a fixed little-endian field-by-field encoding wrapped in a
-// self-describing container header (magic, schema version, dataset kind,
-// config fingerprint, payload checksum). Readers are fully bounds-checked
-// and reject any file whose header, length, or checksum disagrees with the
-// payload, so a corrupt or stale cache entry degrades to re-simulation,
-// never to a wrong figure. Each kind has one decoder, which reads either
-// a payload in memory or one that arrives in pieces (PayloadPieces: the
-// cache's file reader, which checks the checksum once the last piece is
-// in).
+// database): a fixed little-endian field-by-field encoding (the codec of
+// core/bytes.h; each record's fields are listed once, in a walk that both
+// encode and decode run) wrapped in a self-describing container header
+// (magic, schema version, dataset kind, config fingerprint, payload
+// checksum). Readers are fully bounds-checked and reject any file whose
+// header, length, or checksum disagrees with the payload, so a corrupt or
+// stale cache entry degrades to re-simulation, never to a wrong figure.
+// Each kind has one decoder, which reads either a payload in memory or one
+// that arrives in pieces (PayloadPieces: the cache's file reader, which
+// checks the checksum once the last piece is in).
 #pragma once
 
 #include <cstddef>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "apps/app_campaign.h"
+#include "core/bytes.h"
 #include "trip/campaign.h"
 
 namespace wheels::dataset {
@@ -93,24 +95,6 @@ class PayloadChecksum {
 [[nodiscard]] std::string encode(const trip::StaticBaseline& b);
 [[nodiscard]] std::string encode(const apps::AppCampaignResult& r);
 [[nodiscard]] std::string encode(const std::vector<apps::AppRunRecord>& runs);
-
-// A payload that arrives in pieces, such as a cache file read a piece at
-// a time. The decoder holds a window of it and asks for the next one when
-// a field runs past the bytes the window has left.
-class PayloadPieces {
- public:
-  // The next window: the last `unread` bytes of the previous window moved
-  // to its front, then more of the payload until the window holds at
-  // least `need` bytes. Shorter only when the payload ended or a read
-  // failed; empty at the end when `unread` is 0. Invalidates the previous
-  // window.
-  virtual std::string_view next(std::size_t unread, std::size_t need) = 0;
-  // Declared payload bytes that no window has held yet.
-  [[nodiscard]] virtual std::uint64_t pending() const = 0;
-
- protected:
-  ~PayloadPieces() = default;
-};
 
 // Decoders return false (leaving `out` unspecified) on any malformed,
 // truncated, or out-of-range input, or on bytes left over. Each kind has

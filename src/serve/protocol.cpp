@@ -1,111 +1,145 @@
 #include "serve/protocol.h"
 
-#include <bit>
 #include <cstddef>
+#include <utility>
+
+#include "core/bytes.h"
 
 namespace wheels::serve {
 namespace {
 
-// Little-endian writer/reader over the frame body, mirroring the
-// dataset/serialize.cpp conventions (explicit byte order, bounds-checked
-// reads that latch a fail flag instead of throwing).
-class Writer {
- public:
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u16(std::uint16_t v) {
-    for (int i = 0; i < 2; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void bytes(std::string_view v) { out_.append(v); }
+// Largest op (AT&T) and test (RTT), the last TimeZone, and the tz that
+// selects the whole drive.
+constexpr std::uint8_t kMaxOp = 2;
+constexpr std::uint8_t kMaxTest = 2;
+constexpr std::uint8_t kMaxTz = 3;
+constexpr std::uint8_t kWholeDrive = 255;
 
-  [[nodiscard]] std::string take() { return std::move(out_); }
+// The smaller reply row, RegionRow, is 25 bytes.
+constexpr std::size_t kMinRowBytes = 25;
 
- private:
-  std::string out_;
-};
+// --- the field list of each message ------------------------------------------
 
-class Reader {
- public:
-  explicit Reader(std::string_view in) : in_(in) {}
-
-  std::uint8_t u8() {
-    if (pos_ + 1 > in_.size()) return fail<std::uint8_t>();
-    return static_cast<std::uint8_t>(in_[pos_++]);
-  }
-  std::uint16_t u16() {
-    std::uint16_t v = 0;
-    if (pos_ + 2 > in_.size()) return fail<std::uint16_t>();
-    for (int i = 0; i < 2; ++i)
-      v |= static_cast<std::uint16_t>(
-          static_cast<std::uint8_t>(in_[pos_++]) << (8 * i));
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    if (pos_ + 4 > in_.size()) return fail<std::uint32_t>();
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(in_[pos_++]))
-           << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    if (pos_ + 8 > in_.size()) return fail<std::uint64_t>();
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(in_[pos_++]))
-           << (8 * i);
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string str(std::size_t n) {
-    if (pos_ + n > in_.size()) {
-      fail_ = true;
-      return {};
-    }
-    std::string v(in_.substr(pos_, n));
-    pos_ += n;
-    return v;
-  }
-
-  [[nodiscard]] bool failed() const { return fail_; }
-  [[nodiscard]] bool exhausted() const { return pos_ == in_.size(); }
-
- private:
-  template <typename T>
-  T fail() {
-    fail_ = true;
-    return T{};
-  }
-
-  std::string_view in_;
-  std::size_t pos_ = 0;
-  bool fail_ = false;
-};
-
-void put_selector(Writer& w, const DatasetSelector& s) {
-  const std::size_t n =
-      s.scenario.size() > kMaxNameBytes ? kMaxNameBytes : s.scenario.size();
-  w.u8(static_cast<std::uint8_t>(n));
-  w.bytes(std::string_view(s.scenario).substr(0, n));
-  w.u8(s.has_seed ? 1 : 0);
-  w.u64(s.seed);
-  w.u32(s.stride);
+template <class V, Is<DatasetSelector> S>
+void walk(V& v, S& s) {
+  v.str8(s.scenario);
+  v.boolean(s.has_seed);
+  v.u64(s.seed);
+  v.u32(s.stride);
+  v.check(s.stride != 0);
 }
 
-bool get_selector(Reader& r, DatasetSelector& s) {
-  const std::uint8_t n = r.u8();
-  s.scenario = r.str(n);
-  const std::uint8_t has_seed = r.u8();
-  s.seed = r.u64();
-  s.stride = r.u32();
-  if (r.failed() || has_seed > 1 || s.stride == 0) return false;
-  s.has_seed = has_seed == 1;
+template <class V, Is<PingRequest> S>
+void walk(V& v, S& q) {
+  v.u64(q.token);
+}
+
+template <class V, Is<KpiQuery> S>
+void walk(V& v, S& q) {
+  walk(v, q.dataset);
+  v.u8(q.op);
+  v.u8(q.test);
+  v.u8(q.tz);
+  v.f64(q.min_mph);
+  v.f64(q.max_mph);
+  v.check(q.op <= kMaxOp && q.test <= kMaxTest &&
+          (q.tz <= kMaxTz || q.tz == kWholeDrive));
+}
+
+template <class V, Is<RegionSliceQuery> S>
+void walk(V& v, S& q) {
+  walk(v, q.dataset);
+  v.u8(q.op);
+  v.u8(q.test);
+  v.check(q.op <= kMaxOp && q.test <= kMaxTest);
+}
+
+template <class V, Is<AppQoeQuery> S>
+void walk(V& v, S& q) {
+  walk(v, q.dataset);
+  v.u8(q.op);
+  v.check(q.op <= kMaxOp);
+}
+
+template <class V, Is<ErrorReply> S>
+void walk(V& v, S& e) {
+  v.enumeration(e.code, ErrorCode::Busy);
+  v.check(e.code >= ErrorCode::BadMagic);
+  v.str16(e.message);
+}
+
+template <class V, Is<PongReply> S>
+void walk(V& v, S& p) {
+  v.u64(p.token);
+}
+
+template <class V, Is<KpiReply> S>
+void walk(V& v, S& k) {
+  v.u64(k.count);
+  v.f64(k.mean);
+  v.f64(k.p10);
+  v.f64(k.p50);
+  v.f64(k.p90);
+  v.f64(k.p99);
+}
+
+template <class V, Is<RegionRow> S>
+void walk(V& v, S& row) {
+  v.u8(row.tz);
+  v.u64(row.count);
+  v.f64(row.median);
+  v.f64(row.p90);
+}
+
+template <class V, Is<AppQoeRow> S>
+void walk(V& v, S& row) {
+  v.u8(row.app);
+  v.u8(row.compression);
+  v.u64(row.count);
+  v.f64(row.m1);
+  v.f64(row.m2);
+  v.f64(row.m3);
+}
+
+template <class V, class S>
+  requires Is<S, RegionReply> || Is<S, AppQoeReply>
+void walk(V& v, S& r) {
+  v.vec32(r.rows, kMinRowBytes, [&](auto& row) { walk(v, row); });
+}
+
+template <class V, Is<StatsReply> S>
+void walk(V& v, S& s) {
+  v.u64(s.requests);
+  v.u64(s.errors);
+  v.u64(s.sessions);
+  v.u64(s.store_hits);
+  v.u64(s.store_misses);
+  v.u64(s.store_evictions);
+  v.u64(s.store_resident);
+  v.u64(s.store_capacity);
+  v.u64(s.inflight_leaders);
+  v.u64(s.inflight_joins);
+  v.u64(s.campaign_simulations);
+  v.u64(s.baseline_simulations);
+  v.u64(s.disk_hits);
+}
+
+// Messages without fields.
+template <class V, class S>
+  requires Is<S, StatsRequest> || Is<S, ShutdownRequest> ||
+           Is<S, ShutdownReply>
+void walk(V& /*v*/, S& /*s*/) {}
+
+// Alternative `i` of `out`'s variant, walked by `r`; `out` is assigned
+// only when every field decoded and no byte is left over.
+template <class Variant>
+bool decode_alternative(ByteReader& r, std::size_t i, Variant& out) {
+  Variant m;
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    ((I == i ? void(walk(r, m.template emplace<I>())) : void()), ...);
+  }(std::make_index_sequence<std::variant_size_v<Variant>>());
+  if (r.failed() || !r.exhausted()) return false;
+  out = std::move(m);
   return true;
 }
 
@@ -139,17 +173,7 @@ const char* to_string(ErrorCode code) {
 }
 
 QueryKind kind_of(const Request& req) {
-  struct Visitor {
-    QueryKind operator()(const PingRequest&) { return QueryKind::Ping; }
-    QueryKind operator()(const KpiQuery&) { return QueryKind::KpiPercentiles; }
-    QueryKind operator()(const RegionSliceQuery&) {
-      return QueryKind::RegionSlice;
-    }
-    QueryKind operator()(const AppQoeQuery&) { return QueryKind::AppQoe; }
-    QueryKind operator()(const StatsRequest&) { return QueryKind::Stats; }
-    QueryKind operator()(const ShutdownRequest&) { return QueryKind::Shutdown; }
-  };
-  return std::visit(Visitor{}, req);
+  return static_cast<QueryKind>(req.index() + 1);
 }
 
 FrameStatus peek_frame(std::string_view bytes, std::size_t max_body_bytes,
@@ -157,14 +181,13 @@ FrameStatus peek_frame(std::string_view bytes, std::size_t max_body_bytes,
   if (bytes.size() < kFrameHeaderBytes) return FrameStatus::NeedMore;
   if (bytes.substr(0, kFrameMagic.size()) != kFrameMagic)
     return FrameStatus::BadMagic;
-  Reader r(bytes.substr(kFrameMagic.size(), 4));
-  body_len = r.u32();
+  body_len = load_le<std::uint32_t>(bytes.data() + kFrameMagic.size());
   if (body_len > max_body_bytes) return FrameStatus::Oversize;
   return FrameStatus::Ok;
 }
 
 std::string wrap_frame(std::string_view body) {
-  Writer w;
+  ByteWriter w;
   w.bytes(kFrameMagic);
   w.u32(static_cast<std::uint32_t>(body.size()));
   w.bytes(body);
@@ -172,254 +195,44 @@ std::string wrap_frame(std::string_view body) {
 }
 
 std::string encode_request(const Request& req) {
-  Writer w;
+  ByteWriter w;
   w.u8(static_cast<std::uint8_t>(kind_of(req)));
-  struct Visitor {
-    Writer& w;
-    void operator()(const PingRequest& q) { w.u64(q.token); }
-    void operator()(const KpiQuery& q) {
-      put_selector(w, q.dataset);
-      w.u8(q.op);
-      w.u8(q.test);
-      w.u8(q.tz);
-      w.f64(q.min_mph);
-      w.f64(q.max_mph);
-    }
-    void operator()(const RegionSliceQuery& q) {
-      put_selector(w, q.dataset);
-      w.u8(q.op);
-      w.u8(q.test);
-    }
-    void operator()(const AppQoeQuery& q) {
-      put_selector(w, q.dataset);
-      w.u8(q.op);
-    }
-    void operator()(const StatsRequest&) {}
-    void operator()(const ShutdownRequest&) {}
-  };
-  std::visit(Visitor{w}, req);
+  std::visit([&w](const auto& q) { walk(w, q); }, req);
   return w.take();
 }
 
 DecodeStatus decode_request(std::string_view body, Request& out) {
-  Reader r(body);
-  const std::uint8_t tag = r.u8();
+  ByteReader r(body);
+  std::uint8_t tag = 0;
+  r.u8(tag);
   if (r.failed()) return DecodeStatus::Malformed;
-  switch (static_cast<QueryKind>(tag)) {
-    case QueryKind::Ping: {
-      PingRequest q;
-      q.token = r.u64();
-      if (r.failed() || !r.exhausted()) return DecodeStatus::Malformed;
-      out = q;
-      return DecodeStatus::Ok;
-    }
-    case QueryKind::KpiPercentiles: {
-      KpiQuery q;
-      if (!get_selector(r, q.dataset)) return DecodeStatus::Malformed;
-      q.op = r.u8();
-      q.test = r.u8();
-      q.tz = r.u8();
-      q.min_mph = r.f64();
-      q.max_mph = r.f64();
-      if (r.failed() || !r.exhausted() || q.op > 2 || q.test > 2 ||
-          (q.tz > 3 && q.tz != 255))
-        return DecodeStatus::Malformed;
-      out = q;
-      return DecodeStatus::Ok;
-    }
-    case QueryKind::RegionSlice: {
-      RegionSliceQuery q;
-      if (!get_selector(r, q.dataset)) return DecodeStatus::Malformed;
-      q.op = r.u8();
-      q.test = r.u8();
-      if (r.failed() || !r.exhausted() || q.op > 2 || q.test > 2)
-        return DecodeStatus::Malformed;
-      out = q;
-      return DecodeStatus::Ok;
-    }
-    case QueryKind::AppQoe: {
-      AppQoeQuery q;
-      if (!get_selector(r, q.dataset)) return DecodeStatus::Malformed;
-      q.op = r.u8();
-      if (r.failed() || !r.exhausted() || q.op > 2)
-        return DecodeStatus::Malformed;
-      out = q;
-      return DecodeStatus::Ok;
-    }
-    case QueryKind::Stats: {
-      if (!r.exhausted()) return DecodeStatus::Malformed;
-      out = StatsRequest{};
-      return DecodeStatus::Ok;
-    }
-    case QueryKind::Shutdown: {
-      if (!r.exhausted()) return DecodeStatus::Malformed;
-      out = ShutdownRequest{};
-      return DecodeStatus::Ok;
-    }
+  if (tag == 0 || tag > std::variant_size_v<Request>) {
+    return DecodeStatus::UnknownKind;
   }
-  return DecodeStatus::UnknownKind;
+  return decode_alternative(r, tag - 1, out) ? DecodeStatus::Ok
+                                             : DecodeStatus::Malformed;
 }
 
 std::string encode_reply(std::uint8_t kind, const Reply& reply) {
-  Writer w;
+  ByteWriter w;
   w.u8(std::holds_alternative<ErrorReply>(reply) ? 1 : 0);
   w.u8(kind);
-  struct Visitor {
-    Writer& w;
-    void operator()(const ErrorReply& e) {
-      w.u16(static_cast<std::uint16_t>(e.code));
-      const std::size_t n = e.message.size() > 0xffff ? 0xffff
-                                                      : e.message.size();
-      w.u16(static_cast<std::uint16_t>(n));
-      w.bytes(std::string_view(e.message).substr(0, n));
-    }
-    void operator()(const PongReply& p) { w.u64(p.token); }
-    void operator()(const KpiReply& k) {
-      w.u64(k.count);
-      w.f64(k.mean);
-      w.f64(k.p10);
-      w.f64(k.p50);
-      w.f64(k.p90);
-      w.f64(k.p99);
-    }
-    void operator()(const RegionReply& rr) {
-      w.u32(static_cast<std::uint32_t>(rr.rows.size()));
-      for (const RegionRow& row : rr.rows) {
-        w.u8(row.tz);
-        w.u64(row.count);
-        w.f64(row.median);
-        w.f64(row.p90);
-      }
-    }
-    void operator()(const AppQoeReply& ar) {
-      w.u32(static_cast<std::uint32_t>(ar.rows.size()));
-      for (const AppQoeRow& row : ar.rows) {
-        w.u8(row.app);
-        w.u8(row.compression);
-        w.u64(row.count);
-        w.f64(row.m1);
-        w.f64(row.m2);
-        w.f64(row.m3);
-      }
-    }
-    void operator()(const StatsReply& s) {
-      w.u64(s.requests);
-      w.u64(s.errors);
-      w.u64(s.sessions);
-      w.u64(s.store_hits);
-      w.u64(s.store_misses);
-      w.u64(s.store_evictions);
-      w.u64(s.store_resident);
-      w.u64(s.store_capacity);
-      w.u64(s.inflight_leaders);
-      w.u64(s.inflight_joins);
-      w.u64(s.campaign_simulations);
-      w.u64(s.baseline_simulations);
-      w.u64(s.disk_hits);
-    }
-    void operator()(const ShutdownReply&) {}
-  };
-  std::visit(Visitor{w}, reply);
+  std::visit([&w](const auto& m) { walk(w, m); }, reply);
   return w.take();
 }
 
 bool decode_reply(std::string_view body, std::uint8_t& kind, Reply& out) {
-  Reader r(body);
-  const std::uint8_t status = r.u8();
-  kind = r.u8();
+  ByteReader r(body);
+  std::uint8_t status = 0;
+  r.u8(status);
+  r.u8(kind);
   if (r.failed() || status > 1) return false;
-  if (status == 1) {
-    ErrorReply e;
-    e.code = static_cast<ErrorCode>(r.u16());
-    const std::uint16_t n = r.u16();
-    e.message = r.str(n);
-    if (r.failed() || !r.exhausted()) return false;
-    out = e;
-    return true;
+  // An error travels under any kind; any other reply under the kind of
+  // the request it answers, which is its alternative's index.
+  if (status == 0 && (kind == 0 || kind >= std::variant_size_v<Reply>)) {
+    return false;
   }
-  switch (static_cast<QueryKind>(kind)) {
-    case QueryKind::Ping: {
-      PongReply p;
-      p.token = r.u64();
-      if (r.failed() || !r.exhausted()) return false;
-      out = p;
-      return true;
-    }
-    case QueryKind::KpiPercentiles: {
-      KpiReply k;
-      k.count = r.u64();
-      k.mean = r.f64();
-      k.p10 = r.f64();
-      k.p50 = r.f64();
-      k.p90 = r.f64();
-      k.p99 = r.f64();
-      if (r.failed() || !r.exhausted()) return false;
-      out = k;
-      return true;
-    }
-    case QueryKind::RegionSlice: {
-      RegionReply rr;
-      const std::uint32_t n = r.u32();
-      // Sanity cap: a row is 25 bytes, so n can never exceed the body.
-      if (r.failed() || n > body.size()) return false;
-      rr.rows.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        RegionRow row;
-        row.tz = r.u8();
-        row.count = r.u64();
-        row.median = r.f64();
-        row.p90 = r.f64();
-        rr.rows.push_back(row);
-      }
-      if (r.failed() || !r.exhausted()) return false;
-      out = rr;
-      return true;
-    }
-    case QueryKind::AppQoe: {
-      AppQoeReply ar;
-      const std::uint32_t n = r.u32();
-      if (r.failed() || n > body.size()) return false;
-      ar.rows.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        AppQoeRow row;
-        row.app = r.u8();
-        row.compression = r.u8();
-        row.count = r.u64();
-        row.m1 = r.f64();
-        row.m2 = r.f64();
-        row.m3 = r.f64();
-        ar.rows.push_back(row);
-      }
-      if (r.failed() || !r.exhausted()) return false;
-      out = ar;
-      return true;
-    }
-    case QueryKind::Stats: {
-      StatsReply s;
-      s.requests = r.u64();
-      s.errors = r.u64();
-      s.sessions = r.u64();
-      s.store_hits = r.u64();
-      s.store_misses = r.u64();
-      s.store_evictions = r.u64();
-      s.store_resident = r.u64();
-      s.store_capacity = r.u64();
-      s.inflight_leaders = r.u64();
-      s.inflight_joins = r.u64();
-      s.campaign_simulations = r.u64();
-      s.baseline_simulations = r.u64();
-      s.disk_hits = r.u64();
-      if (r.failed() || !r.exhausted()) return false;
-      out = s;
-      return true;
-    }
-    case QueryKind::Shutdown: {
-      if (!r.exhausted()) return false;
-      out = ShutdownReply{};
-      return true;
-    }
-  }
-  return false;
+  return decode_alternative(r, status == 1 ? 0 : kind, out);
 }
 
 }  // namespace wheels::serve

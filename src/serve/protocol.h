@@ -3,11 +3,12 @@
 // Frame := magic "WSV1" (4 bytes) | u32 body length (LE) | body.
 // A request body is one tag byte (QueryKind) followed by the kind-specific
 // payload; a response body is a status byte (0 ok, 1 error), the echoed
-// request kind, and the reply payload. All integers are little-endian and
-// doubles travel by bit pattern -- the same conventions as
-// dataset/serialize.h -- so identical queries over identical datasets
-// produce byte-identical response frames regardless of jobs count or
-// request interleaving (pinned by tests/test_serve.cpp).
+// request kind, and the reply payload. Bodies are written and read by the
+// little-endian codec of core/bytes.h, which the dataset payloads share,
+// and each message lists its fields once, in a walk that both encode and
+// decode run. Identical queries over identical datasets produce
+// byte-identical response frames regardless of jobs count or request
+// interleaving (pinned by tests/test_serve.cpp).
 //
 // Malformed input is a first-class citizen: bad magic, oversize length,
 // truncated payloads and unknown tags each map to a typed ErrorCode the
@@ -27,7 +28,9 @@ inline constexpr std::size_t kFrameHeaderBytes = 8;  // magic + u32 length
 // Default cap on a frame body; override with WHEELS_SERVE_MAX_FRAME or
 // RouterOptions/DaemonOptions.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 1 << 20;
-// Scenario names / paths travel with a u8 length prefix.
+// Scenario names / paths travel with a u8 length prefix: encode_request
+// throws std::invalid_argument for a longer one, since a cut name would
+// select a different scenario.
 inline constexpr std::size_t kMaxNameBytes = 255;
 
 enum class QueryKind : std::uint8_t {
@@ -111,6 +114,7 @@ struct ShutdownRequest {
                          const ShutdownRequest&) = default;
 };
 
+// In QueryKind order: a request's tag is its alternative's index + 1.
 using Request = std::variant<PingRequest, KpiQuery, RegionSliceQuery,
                              AppQoeQuery, StatsRequest, ShutdownRequest>;
 
@@ -120,7 +124,7 @@ using Request = std::variant<PingRequest, KpiQuery, RegionSliceQuery,
 
 struct ErrorReply {
   ErrorCode code = ErrorCode::Internal;
-  std::string message;
+  std::string message;  // sent cut to its first 65,535 bytes
   friend bool operator==(const ErrorReply&, const ErrorReply&) = default;
 };
 
@@ -194,6 +198,8 @@ struct ShutdownReply {
   friend bool operator==(const ShutdownReply&, const ShutdownReply&) = default;
 };
 
+// A reply's alternative index is the kind of the request it answers;
+// ErrorReply travels under any kind, flagged by the status byte.
 using Reply = std::variant<ErrorReply, PongReply, KpiReply, RegionReply,
                            AppQoeReply, StatsReply, ShutdownReply>;
 
@@ -219,7 +225,8 @@ enum class DecodeStatus : std::uint8_t { Ok, UnknownKind, Malformed };
 [[nodiscard]] DecodeStatus decode_request(std::string_view body, Request& out);
 
 // `kind` echoes the request the reply answers (ErrorReply uses the kind of
-// the offending request, or 0 when it never decoded).
+// the offending request, or 0 when it never decoded). decode_reply refuses
+// an error code outside BadMagic..Busy.
 [[nodiscard]] std::string encode_reply(std::uint8_t kind, const Reply& reply);
 [[nodiscard]] bool decode_reply(std::string_view body, std::uint8_t& kind,
                                 Reply& out);

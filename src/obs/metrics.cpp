@@ -11,6 +11,8 @@
 #include <mutex>
 #include <utility>
 
+#include "core/json_text.h"
+
 namespace wheels::obs {
 namespace {
 
@@ -119,20 +121,6 @@ struct ThreadSlot {
 };
 
 thread_local ThreadSlot t_slot;  // wheels-lint: allow(static-local)
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
-void append_int(std::string& out, std::int64_t v) {
-  std::array<char, 32> buf{};
-  const int n =
-      std::snprintf(buf.data(), buf.size(), "%lld", static_cast<long long>(v));
-  out.append(buf.data(), static_cast<std::size_t>(n));
-}
 
 void append_uint(std::string& out, std::uint64_t v) {
   std::array<char, 32> buf{};
@@ -324,9 +312,9 @@ std::string to_jsonl(const Snapshot& snap, bool stable_only) {
   std::string out;
   for (const MetricValue& mv : snap.metrics) {
     if (stable_only && mv.det != Det::Stable) continue;
-    out += "{\"metric\":\"";
-    append_json_escaped(out, mv.name);
-    out += "\",\"type\":\"";
+    out += "{\"metric\":";
+    append_json_string(out, mv.name);
+    out += ",\"type\":\"";
     out += to_string(mv.kind);
     out += "\",\"det\":";
     out += mv.det == Det::Stable ? "true" : "false";

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/json_text.h"
 #include "core/rng.h"
 
 namespace wheels::obs {
@@ -125,24 +126,6 @@ void append_hex(std::string& out, std::uint64_t v) {
   const int n = std::snprintf(buf, sizeof buf, "0x%016llx",
                               static_cast<unsigned long long>(v));
   out.append(buf, static_cast<std::size_t>(n));
-}
-
-void append_json_string(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char ch : s) {
-    const auto u = static_cast<unsigned char>(ch);
-    if (ch == '"' || ch == '\\') {
-      out.push_back('\\');
-      out.push_back(ch);
-    } else if (u < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", u);
-      out.append(buf);
-    } else {
-      out.push_back(ch);
-    }
-  }
-  out.push_back('"');
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <cstdio>
 #include <mutex>
 #include <utility>
 
+#include "core/json_text.h"
 #include "obs/clock.h"
 
 namespace wheels::obs {
@@ -30,20 +29,6 @@ std::uint32_t local_tid() {
   thread_local std::uint32_t id = 0;  // wheels-lint: allow(static-local)
   if (id == 0) id = g_next_tid.fetch_add(1, std::memory_order_relaxed);
   return id;
-}
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
-void append_int(std::string& out, std::int64_t v) {
-  std::array<char, 32> buf{};
-  const int n =
-      std::snprintf(buf.data(), buf.size(), "%lld", static_cast<long long>(v));
-  out.append(buf.data(), static_cast<std::size_t>(n));
 }
 
 }  // namespace
@@ -81,11 +66,11 @@ std::string trace_events_to_chrome_json() {
     const std::int64_t end_us = (e.end_ns - origin_ns) / 1000;
     if (!first) out += ',';
     first = false;
-    out += "{\"name\":\"";
-    append_json_escaped(out, e.name);
-    out += "\",\"cat\":\"";
-    append_json_escaped(out, e.cat);
-    out += "\",\"ph\":\"X\",\"pid\":1,\"tid\":";
+    out += "{\"name\":";
+    append_json_string(out, e.name);
+    out += ",\"cat\":";
+    append_json_string(out, e.cat);
+    out += ",\"ph\":\"X\",\"pid\":1,\"tid\":";
     append_int(out, e.tid);
     out += ",\"ts\":";
     append_int(out, ts_us);

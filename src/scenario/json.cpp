@@ -3,6 +3,8 @@
 #include <charconv>
 #include <stdexcept>
 
+#include "core/json_text.h"
+
 namespace wheels::scenario {
 namespace {
 
@@ -243,28 +245,8 @@ JsonValue parse_json(std::string_view text) {
 }
 
 std::string json_quote(std::string_view s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out.push_back(kHex[(static_cast<unsigned char>(c) >> 4) & 0xF]);
-          out.push_back(kHex[static_cast<unsigned char>(c) & 0xF]);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out += "\"";
+  std::string out;
+  append_json_string(out, s);
   return out;
 }
 

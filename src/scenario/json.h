@@ -38,7 +38,8 @@ struct JsonValue {
 // duplicate object keys are errors).
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
-// Serialize a string with JSON escaping (used by scenario::to_json).
+// Serialize a string with JSON escaping: append_json_string of
+// core/json_text.h, returned (used by scenario::to_json).
 [[nodiscard]] std::string json_quote(std::string_view s);
 
 }  // namespace wheels::scenario

@@ -18,6 +18,7 @@
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "scenario/json.h"
 
 namespace wheels::obs {
 namespace {
@@ -225,6 +226,45 @@ TEST(ObsTrace, ChromeJsonSchemaWithSyntheticClock) {
       << json;
   EXPECT_NE(json.find(",\"ts\":0,\"dur\":5000}"), std::string::npos) << json;
 
+  clear_trace_events();
+}
+
+// Operator and waypoint names come from scenario documents, which may hold
+// any character, and reach span and metric names: both exporters write
+// each name as an escaped JSON string.
+TEST(ObsJson, ControlCharactersInNamesAreEscaped) {
+  const std::string name = "test.escape.\t\n\x01\"\\";
+  const std::string quoted = "\"test.escape.\\t\\n\\u0001\\\"\\\\\"";
+
+  Registry& reg = Registry::global();
+  reg.counter(name, Det::Stable).add(0);
+  reg.reset_values_for_testing();
+  const std::string line = "{\"metric\":" + quoted +
+                           ",\"type\":\"counter\",\"det\":true,\"value\":0}";
+  const std::string jsonl = to_jsonl(reg.snapshot());
+  EXPECT_NE(jsonl.find(line + "\n"), std::string::npos) << jsonl;
+  EXPECT_EQ(scenario::parse_json(line).find("metric")->string, name);
+
+  set_clock_for_testing(&fake_now);
+  clear_trace_events();
+  set_trace_enabled(true);
+  g_fake_ns.store(0);
+  {
+    Span span(name);
+    g_fake_ns.store(2'000);
+  }
+  set_trace_enabled(false);
+  set_clock_for_testing(nullptr);
+  const std::vector<TraceEvent> events = trace_events();
+  ASSERT_EQ(events.size(), 1u);
+  const std::string json = trace_events_to_chrome_json();
+  EXPECT_EQ(json, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{\"name\":" +
+                      quoted +
+                      ",\"cat\":\"campaign\",\"ph\":\"X\",\"pid\":1,\"tid\":" +
+                      std::to_string(events[0].tid) +
+                      ",\"ts\":0,\"dur\":2}]}\n");
+  const scenario::JsonValue doc = scenario::parse_json(json);
+  EXPECT_EQ(doc.find("traceEvents")->array.at(0).find("name")->string, name);
   clear_trace_events();
 }
 

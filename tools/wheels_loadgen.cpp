@@ -24,6 +24,7 @@
 
 #include <condition_variable>
 
+#include "core/json_text.h"
 #include "core/rng.h"
 #include "core/stats.h"
 #include "obs/clock.h"
@@ -351,6 +352,11 @@ int main(int argc, char** argv) {
     std::cerr << "wheels_loadgen: need --socket PATH\n";
     return usage(std::cerr, 2);
   }
+  if (o.scenario.size() > serve::kMaxNameBytes) {
+    std::cerr << "wheels_loadgen: --scenario must be at most "
+              << serve::kMaxNameBytes << " bytes\n";
+    return usage(std::cerr, 2);
+  }
   if (o.clients < 1 || o.stride == 0) {
     std::cerr << "wheels_loadgen: need --clients >= 1 and --stride >= 1\n";
     return 2;
@@ -433,7 +439,9 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"serve\",\n");
-  std::fprintf(out, "  \"scenario\": \"%s\",\n", o.scenario.c_str());
+  std::string scenario;
+  append_json_string(scenario, o.scenario);
+  std::fprintf(out, "  \"scenario\": %s,\n", scenario.c_str());
   std::fprintf(out, "  \"stride\": %u,\n", o.stride);
   std::fprintf(out, "  \"clients\": %d,\n", o.clients);
   std::fprintf(out, "  \"requests_per_client\": %d,\n", o.requests);

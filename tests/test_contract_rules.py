@@ -322,6 +322,88 @@ class DatasetPins(unittest.TestCase):
             self.assertEqual(code, 0, out)
 
 
+class PrinterDigests(unittest.TestCase):
+    """The optional printer_digests registry section: one well-formed
+    digest per bench/ printer, equal to the benchmark's warm-figures
+    record at stride 64. Exercised on temp copies of the good fixture
+    (which has no printer_digests section and no bench/ directory)."""
+
+    DIGEST = "0x0123456789abcdef"
+
+    def make_root(self, tmp, section, printers=(), expected=None):
+        root = os.path.join(tmp, "good")
+        shutil.copytree(os.path.join(FIXTURES, "good"), root)
+        reg_path = os.path.join(root, "tools", "contracts.json")
+        with open(reg_path, encoding="utf-8") as f:
+            reg = json.load(f)
+        reg["printer_digests"] = section
+        with open(reg_path, "w", encoding="utf-8") as f:
+            json.dump(reg, f, indent=2)
+        if printers:
+            os.makedirs(os.path.join(root, "bench"))
+            for name in printers:
+                with open(os.path.join(root, "bench", name + ".cpp"), "w",
+                          encoding="utf-8") as f:
+                    f.write("int main() { return 0; }\n")
+        if expected is not None:
+            os.makedirs(os.path.join(root, "perfbench"))
+            with open(os.path.join(root, "perfbench", "expected_seed42.json"),
+                      "w", encoding="utf-8") as f:
+                json.dump({"warm-figures": {"printer_digests": expected}}, f)
+        code, out, err = run_contract_at(root, "--fix-docs")
+        self.assertEqual(code, 0, out + err)
+        return run_contract_at(root)
+
+    def test_malformed_sections_fire(self):
+        for section, needle in (
+                ({"stride": 0, "entries": {}}, "positive integer stride"),
+                ({"stride": 64, "entries": []}, "positive integer stride"),
+                ({"stride": 64, "entries": {"bench_fig1": "0x12"}},
+                 "printer digest bench_fig1 needs a checksum")):
+            with tempfile.TemporaryDirectory() as tmp:
+                code, out, _ = self.make_root(tmp, section)
+                self.assertEqual(code, 1, out)
+                self.assertIn("[registry]", out)
+                self.assertIn(needle, out)
+
+    def test_printer_without_an_entry_fires(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out, _ = self.make_root(
+                tmp, {"stride": 64, "entries": {"bench_fig1": self.DIGEST}},
+                printers=("bench_fig1", "bench_table2", "bench_micro"))
+            self.assertEqual(code, 1, out)
+            self.assertIn("printer bench_table2 (bench/bench_table2.cpp) has "
+                          "no printer_digests entry", out)
+            self.assertNotIn("bench_micro", out)
+
+    def test_entry_without_a_printer_fires(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out, _ = self.make_root(
+                tmp, {"stride": 64, "entries": {"bench_fig1": self.DIGEST,
+                                                "bench_fig9": self.DIGEST}},
+                printers=("bench_fig1",))
+            self.assertEqual(code, 1, out)
+            self.assertIn("printer digest bench_fig9 names no bench/ printer",
+                          out)
+
+    def test_disagreement_with_benchmark_record_fires(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out, _ = self.make_root(
+                tmp, {"stride": 64, "entries": {"bench_fig1": self.DIGEST}},
+                expected={"bench_fig1": "0x1111111111111111"})
+            self.assertEqual(code, 1, out)
+            self.assertIn("perfbench/expected_seed42.json records "
+                          "0x1111111111111111", out)
+
+    def test_agreement_with_benchmark_record_passes(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out, _ = self.make_root(
+                tmp, {"stride": 64, "entries": {"bench_fig1": self.DIGEST}},
+                printers=("bench_fig1",),
+                expected={"bench_fig1": self.DIGEST})
+            self.assertEqual(code, 0, out)
+
+
 class WorkCounts(unittest.TestCase):
     """The optional work_counts registry section: the exact counter deltas
     of a cold then a warm pass, rendered into the pins header and checked

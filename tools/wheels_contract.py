@@ -17,6 +17,9 @@ in the style of wheels_lint.py / wheels_arch.py:
                       per-dataset pin that is malformed, duplicated,
                       names no library scenario, or disagrees with the
                       benchmark's perfbench/expected_seed42.json, or a
+                      printer digest that is malformed, misses or names
+                      no bench/ printer, or disagrees with that file's
+                      warm-figures record, or a
                       work_counts section that is malformed or whose
                       warm pass does not read back the bytes its cold
                       pass wrote.
@@ -318,6 +321,66 @@ def check_dataset_pins(root: str, reg: dict, reg_rel: str,
     return findings
 
 
+# perfbench's printer glob (perfbench/CMakeLists.txt): the figure, table
+# and ablation printers of bench/.
+PRINTER_RE = re.compile(r"^(bench_(?:fig|table|ablation)\w*)\.cpp$")
+
+
+def check_printer_digests(root: str, reg: dict, reg_rel: str,
+                          reg_text: str) -> list[Finding]:
+    """The optional printer_digests section: the FNV-1a of every bench/
+    printer's stdout at one stride over the warm paper-default cache, one
+    well-formed entry per printer, and equal to the benchmark's
+    warm-figures record at stride 64."""
+    section = reg.get("printer_digests")
+    if section is None:
+        return []
+    findings = []
+
+    def bad(needle: str, msg: str) -> None:
+        findings.append(
+            Finding(reg_rel, registry_line(reg_text, needle), "registry", msg))
+
+    entries = section.get("entries") if isinstance(section, dict) else None
+    stride = section.get("stride") if isinstance(section, dict) else None
+    if not is_count(stride) or stride == 0 or not isinstance(entries, dict):
+        bad("printer_digests", "printer_digests needs a positive integer "
+            "stride and an entries object of printer: checksum")
+        return findings
+    for name, digest in entries.items():
+        if not CHECKSUM_RE.match(str(digest)):
+            bad(f'"{name}"', f"printer digest {name} needs a checksum of "
+                "the form 0x<16 lowercase hex digits>")
+    bench_dir = os.path.join(root, "bench")
+    if os.path.isdir(bench_dir):
+        printers = {
+            m.group(1) for m in map(PRINTER_RE.match, os.listdir(bench_dir))
+            if m
+        }
+        for name in sorted(printers - set(entries)):
+            bad("printer_digests", f"printer {name} (bench/{name}.cpp) has "
+                "no printer_digests entry")
+        for name in sorted(set(entries) - printers):
+            bad(f'"{name}"', f"printer digest {name} names no "
+                "bench/ printer")
+
+    expected_text = read_text(root, BENCH_EXPECTED_REL)
+    if expected_text is None or stride != 64:
+        return findings
+    try:
+        digests = json.loads(
+            expected_text)["warm-figures"]["printer_digests"]
+    except (json.JSONDecodeError, KeyError, TypeError):
+        return findings
+    for name, digest in entries.items():
+        want = digests.get(name)
+        if want is not None and want.lower() != str(digest):
+            bad(f'"{name}"', f"printer digest {name} is {digest} but "
+                f"{BENCH_EXPECTED_REL} records {want} for the same "
+                "stride-64 stdout")
+    return findings
+
+
 # The two passes of the work_counts section, in the order the test runs
 # them: resolve every dataset into an empty cache, then again from it.
 WORK_PASSES = ("cold", "warm")
@@ -511,7 +574,8 @@ def render_pins_table(reg: dict, root: str) -> list[str]:
         f"| dataset schema version | `{reg.get('schema_version')}` |",
         f"| golden campaign checksum (seed {golden.get('seed')}, "
         f"stride {golden.get('stride')}) | `{golden.get('checksum')}` |",
-    ] + dataset_pins_row(reg) + work_counts_row(reg)
+    ] + dataset_pins_row(reg) + printer_digests_row(reg) + \
+        work_counts_row(reg)
 
 
 def dataset_pins_row(reg: dict) -> list[str]:
@@ -523,6 +587,18 @@ def dataset_pins_row(reg: dict) -> list[str]:
         "kind and operator slot) | "
         f"{len(pins.get('entries', []))} entries in `tools/contracts.json` "
         "`dataset_pins` |"
+    ]
+
+
+def printer_digests_row(reg: dict) -> list[str]:
+    section = reg.get("printer_digests")
+    if not isinstance(section, dict):
+        return []
+    return [
+        f"| printer stdout checksums (stride {section.get('stride')}, warm "
+        "paper-default cache) | "
+        f"{len(section.get('entries', {}))} entries in `tools/contracts.json`"
+        " `printer_digests` |"
     ]
 
 
@@ -1162,6 +1238,7 @@ def run(args) -> Report | int:
     findings = check_registry(reg, REGISTRY_REL, reg_text)
     registry_broken = bool(findings)
     findings += check_dataset_pins(root, reg, REGISTRY_REL, reg_text)
+    findings += check_printer_digests(root, reg, REGISTRY_REL, reg_text)
     findings += check_work_counts(root, reg, REGISTRY_REL, reg_text)
     if not registry_broken:
         findings += check_schema_pin(root, reg)

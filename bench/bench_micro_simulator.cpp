@@ -2,9 +2,7 @@
 #include <benchmark/benchmark.h>
 
 #include "net/tcp_cubic.h"
-#include "radio/link_budget.h"
-#include "radio/mcs.h"
-#include "radio/phy_rate.h"
+#include "radio/kernel.h"
 #include "ran/kernel.h"
 #include "ran/ue.h"
 #include "trip/region.h"
@@ -14,27 +12,33 @@ namespace {
 
 using namespace wheels;
 
+// The rate half of the radio chain the UE step runs: CQI/MCS selection,
+// BLER and carrier aggregation over the default plan's mid band.
 void BM_PhyRateChain(benchmark::State& state) {
+  const radio::DerivedPlan dp = radio::derive_plan(radio::default_band_plan());
+  const radio::BandDerived& bd = dp.band(radio::Tech::NR_MID);
   double sinr = -5.0;
   for (auto _ : state) {
     sinr += 0.37;
     if (sinr > 35.0) sinr = -5.0;
-    auto r = radio::compute_phy_rate(radio::Tech::NR_MID,
-                                     radio::Direction::Downlink, Db{sinr},
-                                     2, 0.5);
+    auto r = radio::cached_phy_rate(dp, bd, radio::Direction::Downlink,
+                                    Db{sinr}, 2, 0.5);
     benchmark::DoNotOptimize(r);
   }
 }
 BENCHMARK(BM_PhyRateChain);
 
+// The link-budget half: one path loss and the downlink SINR over it.
 void BM_LinkBudget(benchmark::State& state) {
+  const radio::DerivedPlan dp = radio::derive_plan(radio::default_band_plan());
+  const radio::BandDerived& bd = dp.band(radio::Tech::LTE_A);
   radio::ChannelState ch;
   double d = 100.0;
   for (auto _ : state) {
     d = d > 3'000.0 ? 100.0 : d + 13.0;
-    auto s = radio::sinr_downlink(radio::Tech::LTE_A,
-                                  radio::Environment::Rural, Meters{d}, ch,
-                                  Db{8.0});
+    const double pl =
+        radio::cached_pathloss_db(bd, radio::Environment::Rural, d);
+    auto s = radio::sinr_downlink(bd, pl, ch, Db{8.0});
     benchmark::DoNotOptimize(s);
   }
 }

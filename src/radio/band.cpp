@@ -1,7 +1,5 @@
 #include "radio/band.h"
 
-#include <cmath>
-
 namespace wheels::radio {
 namespace {
 
@@ -96,20 +94,5 @@ constexpr BandPlan kUsPlan{{kLte, kLteA, kNrLow, kNrMid, kNrMmwave}};
 }  // namespace
 
 const BandPlan& default_band_plan() { return kUsPlan; }
-
-const BandProfile& band_profile(Tech t) {
-  switch (t) {
-    case Tech::LTE: return kLte;
-    case Tech::LTE_A: return kLteA;
-    case Tech::NR_LOW: return kNrLow;
-    case Tech::NR_MID: return kNrMid;
-    case Tech::NR_MMWAVE: return kNrMmwave;
-  }
-  return kLte;
-}
-
-Dbm noise_floor(MHz bandwidth, double noise_figure_db) {
-  return Dbm{-174.0 + 10.0 * std::log10(bandwidth.hz()) + noise_figure_db};
-}
 
 }  // namespace wheels::radio

@@ -29,9 +29,9 @@ struct BandProfile {
 };
 
 // A complete band plan: one profile per technology layer. Scenarios swap
-// plans wholesale (e.g. EU carriers/bandwidths) without recompiling; the
-// link-budget and PHY-rate functions below take the profile explicitly so
-// they never reach back into the US catalog.
+// plans wholesale (e.g. EU carriers/bandwidths) without recompiling;
+// derive_plan() (radio/kernel.h) reads the radio chain's constants from
+// the plan, so nothing reaches back into the US catalog.
 struct BandPlan {
   std::array<BandProfile, 5> profiles{};  // indexed by Tech
 
@@ -45,12 +45,5 @@ struct BandPlan {
 
 // The 2022-era US catalog the paper's campaign ran on.
 [[nodiscard]] const BandPlan& default_band_plan();
-
-// Catalog lookup: the canonical (default-plan) profile for a technology.
-[[nodiscard]] const BandProfile& band_profile(Tech t);
-
-// Thermal noise floor for a given bandwidth at ~9 dB UE noise figure:
-// -174 dBm/Hz + 10log10(BW) + NF.
-[[nodiscard]] Dbm noise_floor(MHz bandwidth, double noise_figure_db = 9.0);
 
 }  // namespace wheels::radio

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "radio/link_budget.h"
-
 namespace wheels::radio {
 
 BandDerived derive_band(const BandProfile& p) {
@@ -28,7 +26,7 @@ BandDerived derive_band(const BandProfile& p) {
   for (int m = 0; m <= kMaxMcs; ++m) {
     const std::size_t i = static_cast<std::size_t>(m);
     const double se = mcs_spectral_efficiency(m);
-    // Exactly compute_phy_rate()'s leading multiplications, once per MCS.
+    // The carrier rate's leading multiplications, once per MCS.
     b.rate_base_dl[i] = (b.bw_hz_dl * se) * b.layers_dl;
     b.rate_base_ul[i] = (b.bw_hz_ul * se) * b.layers_ul;
     b.rate_full_dl[i] = b.rate_base_dl[i] * kPhyOverhead;
@@ -59,7 +57,6 @@ DerivedPlan derive_plan(const BandPlan& plan) {
 
 double cached_pathloss_db(const BandDerived& b, Environment env,
                           double distance_m) {
-  // Mirrors pathloss(): dm clamp, then pl0 + 10 n log10(dm / d0).
   const double dm = std::max(distance_m, kPathlossReferenceM);
   const double n = b.ple[static_cast<std::size_t>(env)];
   return b.pl0_db + 10.0 * n * std::log10(dm / kPathlossReferenceM);
@@ -71,8 +68,8 @@ int cqi_from_sinr_table(const DerivedPlan& dp, double sinr_db) {
   // Start from a linear guess (the thresholds are evenly spaced) and let
   // the two adjustment loops establish the invariant; they converge to
   // the same R from any start, so the guess only affects speed. A
-  // non-finite sinr falls through the !(g > 0) guard to 0, matching the
-  // original scan (every comparison false).
+  // non-finite sinr falls through the !(g > 0) guard to 0, as a scan of
+  // the table would (every comparison false).
   const double step = dp.cqi_required_sinr_db[1] - dp.cqi_required_sinr_db[0];
   const double g = (sinr_db - dp.cqi_required_sinr_db[0]) / step + 1.0;
   int cqi = 0;
@@ -95,8 +92,6 @@ int cqi_from_sinr_table(const DerivedPlan& dp, double sinr_db) {
 PhyRateResult cached_phy_rate(const DerivedPlan& dp, const BandDerived& b,
                               Direction dir, Db sinr, int num_cc,
                               double prb_fraction) {
-  // Mirrors compute_phy_rate() line for line; only the band constants and
-  // adaptation lookups come from the derived tables.
   const bool dl = dir == Direction::Downlink;
   const int max_cc = dl ? b.max_cc_dl : b.max_cc_ul;
   num_cc = std::clamp(num_cc, 1, max_cc);
@@ -113,9 +108,7 @@ PhyRateResult cached_phy_rate(const DerivedPlan& dp, const BandDerived& b,
     if (cqi == 0) {
       if (cc == 0) {
         out.mcs = 0;
-        out.bler =
-            1.0 /
-            (1.0 + std::exp((cc_sinr.value - dp.mcs_threshold_db[0]) / 0.45));
+        out.bler = bler_at_gap(cc_sinr.value - dp.mcs_threshold_db[0]);
       }
       continue;  // carrier out of range
     }
@@ -135,7 +128,7 @@ PhyRateResult cached_phy_rate(const DerivedPlan& dp, const BandDerived& b,
       bits_per_second += rate_full[static_cast<std::size_t>(mcs)];
       continue;
     }
-    const double blk = 1.0 / (1.0 + std::exp(gap / 0.45));
+    const double blk = bler_at_gap(gap);
     bits_per_second +=
         (rate_base[static_cast<std::size_t>(mcs)] * (1.0 - blk)) *
         kPhyOverhead;

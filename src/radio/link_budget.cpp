@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "radio/band.h"
-
 namespace wheels::radio {
 
 // Per-resource-element transmit power: total CC power spread over the
@@ -20,45 +18,6 @@ Dbm per_re_power_dl(const BandProfile& p) {
 Dbm per_re_power_ul(const BandProfile& p) {
   const double subcarriers = p.cc_bandwidth_ul.hz() / 15e3 / 12.0;
   return Dbm{p.tx_power_ul.value - 10.0 * std::log10(subcarriers)};
-}
-
-Dbm rsrp(const BandProfile& band, Environment env, Meters distance,
-         const ChannelState& ch) {
-  const Db pl = pathloss(band, env, distance);
-  return per_re_power_dl(band) + band.antenna_gain_dl - pl - ch.shadowing -
-         ch.blockage_loss;
-}
-
-Dbm rsrp(Tech tech, Environment env, Meters distance, const ChannelState& ch) {
-  return rsrp(band_profile(tech), env, distance, ch);
-}
-
-Db sinr_downlink(const BandProfile& band, Environment env, Meters distance,
-                 const ChannelState& ch, Db interference_margin) {
-  // Per-RE SNR equals wideband SNR; interference margin subtracts directly.
-  const Dbm rx = rsrp(band, env, distance, ch) + ch.fast_fading;
-  return (rx - kNoisePerRe) - interference_margin;
-}
-
-Db sinr_downlink(Tech tech, Environment env, Meters distance,
-                 const ChannelState& ch, Db interference_margin) {
-  return sinr_downlink(band_profile(tech), env, distance, ch,
-                       interference_margin);
-}
-
-Db sinr_uplink(const BandProfile& p, Environment env, Meters distance,
-               const ChannelState& ch, Db interference_margin) {
-  const Db pl = pathloss(p, env, distance);
-  // BS antenna gain helps on receive.
-  const Dbm rx = per_re_power_ul(p) + p.antenna_gain_dl - pl - ch.shadowing -
-                 ch.blockage_loss + ch.fast_fading;
-  return (rx - kNoisePerRe) - interference_margin;
-}
-
-Db sinr_uplink(Tech tech, Environment env, Meters distance,
-               const ChannelState& ch, Db interference_margin) {
-  return sinr_uplink(band_profile(tech), env, distance, ch,
-                     interference_margin);
 }
 
 }  // namespace wheels::radio

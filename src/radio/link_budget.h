@@ -1,10 +1,9 @@
-// Link-budget computation: RSRP and SINR from geometry + channel state.
+// Link-budget inputs: the channel state and the per-resource-element
+// powers that RSRP and SINR (radio/kernel.h) are built from.
 #pragma once
 
 #include "core/units.h"
 #include "radio/band.h"
-#include "radio/pathloss.h"
-#include "radio/technology.h"
 
 namespace wheels::radio {
 
@@ -19,37 +18,8 @@ struct ChannelState {
 inline constexpr Dbm kNoisePerRe{-174.0 + 41.76 + 9.0};  // ~ -123.2 dBm
 
 // Per-resource-element transmit powers: the band-constant terms of the
-// link budget, exposed so the batched replay kernel can hoist them per
-// segment. `rsrp` / `sinr_*` below are defined in terms of these.
+// link budget, which derive_band() adds to the antenna gain once per band.
 [[nodiscard]] Dbm per_re_power_dl(const BandProfile& p);
 [[nodiscard]] Dbm per_re_power_ul(const BandProfile& p);
-
-// Reference Signal Received Power: per-resource-element received power.
-// RSRP = per-RE transmit power + antenna gain - pathloss - shadowing -
-// blockage. Fast fading is averaged out by the UE's RSRP filter, so it is
-// deliberately excluded here (it does enter SINR). The band-profile forms
-// are the primary ones (scenario band plans flow through them); the Tech
-// forms evaluate the default US plan.
-[[nodiscard]] Dbm rsrp(const BandProfile& band, Environment env,
-                       Meters distance, const ChannelState& ch);
-[[nodiscard]] Dbm rsrp(Tech tech, Environment env, Meters distance,
-                       const ChannelState& ch);
-
-// Downlink SINR for data: wideband signal over noise + interference.
-// `interference_margin` folds in neighbour-cell load (from the RAN layer).
-[[nodiscard]] Db sinr_downlink(const BandProfile& band, Environment env,
-                               Meters distance, const ChannelState& ch,
-                               Db interference_margin);
-[[nodiscard]] Db sinr_downlink(Tech tech, Environment env, Meters distance,
-                               const ChannelState& ch,
-                               Db interference_margin);
-
-// Uplink SINR: limited by the UE's transmit power; interference at the BS
-// is milder (power control) so a smaller default margin applies.
-[[nodiscard]] Db sinr_uplink(const BandProfile& band, Environment env,
-                             Meters distance, const ChannelState& ch,
-                             Db interference_margin);
-[[nodiscard]] Db sinr_uplink(Tech tech, Environment env, Meters distance,
-                             const ChannelState& ch, Db interference_margin);
 
 }  // namespace wheels::radio

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 
 namespace wheels::radio {
 namespace {
@@ -18,20 +17,10 @@ constexpr std::array<double, 16> kCqiEfficiency = {
 constexpr double kCqi1SinrDb = -6.0;
 constexpr double kSinrPerCqiDb = 1.85;
 
-double cqi_required_sinr(int cqi) {
-  return kCqi1SinrDb + (cqi - 1) * kSinrPerCqiDb;
-}
-
 }  // namespace
 
-Db cqi_sinr_threshold(int cqi) { return Db{cqi_required_sinr(cqi)}; }
-
-int cqi_from_sinr(Db sinr) {
-  int cqi = 0;
-  for (int c = 1; c <= kMaxCqi; ++c) {
-    if (sinr.value >= cqi_required_sinr(c)) cqi = c;
-  }
-  return cqi;
+Db cqi_sinr_threshold(int cqi) {
+  return Db{kCqi1SinrDb + (cqi - 1) * kSinrPerCqiDb};
 }
 
 double cqi_spectral_efficiency(int cqi) {
@@ -58,13 +47,6 @@ double mcs_spectral_efficiency(int mcs) {
 Db mcs_sinr_threshold(int mcs) {
   const double c = 1.0 + std::clamp(mcs, 0, kMaxMcs) / 2.0;
   return Db{kCqi1SinrDb + (c - 1.0) * kSinrPerCqiDb};
-}
-
-double bler(int mcs, Db sinr) {
-  // Logistic waterfall: ~1.0 well below threshold, ~0 well above, 50% at
-  // threshold, ~10% one dB above (slope 0.45 dB).
-  const double gap = sinr.value - mcs_sinr_threshold(mcs).value;
-  return 1.0 / (1.0 + std::exp(gap / 0.45));
 }
 
 }  // namespace wheels::radio

@@ -1,5 +1,7 @@
-// Link adaptation: SINR -> CQI -> MCS -> spectral efficiency, and the
-// residual block error rate after adaptation.
+// Link-adaptation tables: CQI decode thresholds, CQI -> MCS, and the
+// spectral efficiency and decode threshold of each MCS. derive_plan()
+// (radio/kernel.h) reads them into the tables its SINR -> CQI -> MCS
+// lookups and BLER use.
 //
 // The CQI table follows 3GPP TS 36.213 Table 7.2.3-1 (the 4-bit 64-QAM
 // table); MCS indices 0-28 interpolate the same efficiency range, which is
@@ -14,12 +16,8 @@ namespace wheels::radio {
 inline constexpr int kMaxCqi = 15;
 inline constexpr int kMaxMcs = 28;
 
-// CQI from SINR: highest CQI whose decode threshold is below the SINR.
-[[nodiscard]] int cqi_from_sinr(Db sinr);
-
 // SINR required to decode CQI index `cqi` (1..kMaxCqi): the boundary the
-// CQI selection compares against. Exposed so table-driven callers (the
-// batched replay kernel) build their thresholds from the same source.
+// CQI selection compares against.
 [[nodiscard]] Db cqi_sinr_threshold(int cqi);
 
 // Spectral efficiency (bits/s/Hz per layer) of a CQI index, per the 3GPP
@@ -35,10 +33,5 @@ inline constexpr int kMaxMcs = 28;
 
 // SINR decode threshold of an MCS: the SINR at which its BLER is ~50%.
 [[nodiscard]] Db mcs_sinr_threshold(int mcs);
-
-// Residual BLER for transmitting `mcs` at `sinr`: logistic in the SINR gap.
-// With ideal adaptation this lands near the 10% target; fast fading between
-// CQI reports produces the spread seen in the BLER KPI.
-[[nodiscard]] double bler(int mcs, Db sinr);
 
 }  // namespace wheels::radio

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "radio/band.h"
-
 namespace wheels::radio {
 Db free_space_pathloss(Meters d, MHz f) {
   const double dm = std::max(d.value, 1.0);
@@ -44,17 +42,6 @@ double pathloss_exponent(Tech t, Environment env) {
       break;
   }
   return 3.0;
-}
-
-Db pathloss(const BandProfile& band, Environment env, Meters distance) {
-  const Db pl0 = free_space_pathloss(Meters{kPathlossReferenceM}, band.carrier);
-  const double dm = std::max(distance.value, kPathlossReferenceM);
-  const double n = pathloss_exponent(band.tech, env);
-  return Db{pl0.value + 10.0 * n * std::log10(dm / kPathlossReferenceM)};
-}
-
-Db pathloss(Tech t, Environment env, Meters distance) {
-  return pathloss(band_profile(t), env, distance);
 }
 
 double shadowing_sigma_db(Tech t, Environment env) {

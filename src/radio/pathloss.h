@@ -1,23 +1,22 @@
-// Path-loss models.
+// Path-loss model constants.
 //
 // A close-in free-space reference model with band-dependent exponents,
 // following the 3GPP TR 38.901 UMa/UMi/RMa spirit without the full
 // machinery: PL(d) = FSPL(d0, f) + 10 n log10(d / d0), with the exponent n
-// chosen per band class and environment. mmWave additionally suffers
-// distance-independent blockage handled by the fading layer.
+// chosen per band class and environment. derive_band() (radio/kernel.h)
+// takes FSPL(d0, f) and n from here; cached_pathloss_db() evaluates PL(d).
+// mmWave additionally suffers distance-independent blockage handled by the
+// fading layer.
 #pragma once
 
 #include "core/units.h"
-#include "radio/band.h"
 #include "radio/technology.h"
 
 namespace wheels::radio {
 
 enum class Environment : std::uint8_t { Urban, Suburban, Rural };
 
-// Close-in reference distance d0 of the path-loss model. Exposed so the
-// batched replay kernel can hoist FSPL(d0, f) per band with the exact same
-// constant pathloss() uses.
+// Close-in reference distance d0 of the path-loss model.
 inline constexpr double kPathlossReferenceM = 10.0;
 
 // Free-space path loss at distance d and carrier frequency f.
@@ -27,14 +26,6 @@ inline constexpr double kPathlossReferenceM = 10.0;
 // further in rural terrain (lower clutter); mmWave is near-free-space when
 // line-of-sight but the effective exponent we use folds in light NLOS.
 [[nodiscard]] double pathloss_exponent(Tech t, Environment env);
-
-// Full distance-dependent path loss (excluding shadowing/fading). The
-// band-profile form is the primary one (the carrier frequency comes from
-// the profile, so scenario band plans propagate); the Tech form evaluates
-// the default US plan.
-[[nodiscard]] Db pathloss(const BandProfile& band, Environment env,
-                          Meters distance);
-[[nodiscard]] Db pathloss(Tech t, Environment env, Meters distance);
 
 // Log-normal shadowing standard deviation (dB) per technology/environment.
 [[nodiscard]] double shadowing_sigma_db(Tech t, Environment env);

@@ -1,10 +1,5 @@
 #include "radio/phy_rate.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "radio/mcs.h"
-
 namespace wheels::radio {
 
 Mbps ue_peak_rate(Tech t, Direction d) {
@@ -17,50 +12,6 @@ Mbps ue_peak_rate(Tech t, Direction d) {
     case Tech::NR_MMWAVE: return dl ? Mbps{3500.0} : Mbps{350.0};
   }
   return Mbps{0.0};
-}
-
-PhyRateResult compute_phy_rate(const BandProfile& p, Direction dir, Db sinr,
-                               int num_cc, double prb_fraction) {
-  const bool dl = dir == Direction::Downlink;
-  const int max_cc = dl ? p.max_cc_dl : p.max_cc_ul;
-  num_cc = std::clamp(num_cc, 1, max_cc);
-  prb_fraction = std::clamp(prb_fraction, 0.0, 1.0);
-
-  const MHz bw = dl ? p.cc_bandwidth_dl : p.cc_bandwidth_ul;
-  const int layers = dl ? p.mimo_layers_dl : p.mimo_layers_ul;
-
-  PhyRateResult out;
-  out.num_cc = num_cc;
-
-  double bits_per_second = 0.0;
-  for (int cc = 0; cc < num_cc; ++cc) {
-    const Db cc_sinr{sinr.value - cc * kSecondaryCcPenaltyDb};
-    const int cqi = cqi_from_sinr(
-        Db{cc_sinr.value - kAdaptationBackoffDb});
-    if (cqi == 0) {
-      if (cc == 0) {
-        out.mcs = 0;
-        out.bler = bler(0, cc_sinr);
-      }
-      continue;  // carrier out of range
-    }
-    const int mcs = mcs_from_cqi(cqi);
-    const double b = bler(mcs, cc_sinr);
-    const double se = mcs_spectral_efficiency(mcs);
-    bits_per_second += bw.hz() * se * layers * (1.0 - b) * kPhyOverhead;
-    if (cc == 0) {
-      out.mcs = mcs;
-      out.bler = b;
-    }
-  }
-  const Mbps uncapped{bits_per_second / 1e6 * prb_fraction};
-  out.rate = std::min(uncapped, ue_peak_rate(p.tech, dir));
-  return out;
-}
-
-PhyRateResult compute_phy_rate(Tech tech, Direction dir, Db sinr, int num_cc,
-                               double prb_fraction) {
-  return compute_phy_rate(band_profile(tech), dir, sinr, num_cc, prb_fraction);
 }
 
 }  // namespace wheels::radio

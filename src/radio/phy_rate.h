@@ -1,16 +1,15 @@
-// PHY-layer achievable rate from link adaptation + carrier aggregation.
+// PHY-rate vocabulary: direction, link-adaptation constants, UE peak rates
+// and the result type of cached_phy_rate() (radio/kernel.h).
 #pragma once
 
 #include "core/units.h"
-#include "radio/band.h"
 #include "radio/technology.h"
 
 namespace wheels::radio {
 
 enum class Direction : std::uint8_t { Downlink, Uplink };
 
-// Link-adaptation constants, shared with the batched replay kernel so the
-// cached mirror in radio/kernel.cpp stays bit-identical by construction.
+// Link-adaptation constants of cached_phy_rate().
 // Control/reference-signal overhead: fraction of symbols carrying data.
 inline constexpr double kPhyOverhead = 0.75;
 // Scheduler backoff applied to the measured SINR before picking MCS.
@@ -34,19 +33,5 @@ struct PhyRateResult {
   double bler = 0.0;  // residual BLER at the selected MCS
   int num_cc = 1;     // aggregated component carriers
 };
-
-// Compute the achievable PHY goodput.
-//   sinr          -- primary-carrier SINR for this interval
-//   num_cc        -- aggregated carriers (1..profile max); secondary
-//                    carriers are assumed slightly weaker (1.5 dB/CC step)
-//   prb_fraction  -- fraction of PRBs the scheduler grants this UE
-//                    (cell load model), in (0, 1]
-// The band-profile form is the primary one (scenario band plans flow
-// through it); the Tech form evaluates the default US plan.
-[[nodiscard]] PhyRateResult compute_phy_rate(const BandProfile& band,
-                                             Direction dir, Db sinr,
-                                             int num_cc, double prb_fraction);
-[[nodiscard]] PhyRateResult compute_phy_rate(Tech tech, Direction dir, Db sinr,
-                                             int num_cc, double prb_fraction);
 
 }  // namespace wheels::radio

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "radio/link_budget.h"
+#include "radio/kernel.h"
 
 namespace wheels::ran {
 namespace {
@@ -53,18 +53,6 @@ void UeSimulator::set_traffic(TrafficProfile t) {
   policy_initialized_ = false;  // re-evaluate promptly with the new context
 }
 
-std::size_t UeSimulator::unique_cell_count() const {
-  std::vector<CellId> v = seen_cells_;
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-  return v.size();
-}
-
-void UeSimulator::clear_history() {
-  handovers_.clear();
-  // seen_cells_ intentionally kept: Table 1 counts over the whole campaign.
-}
-
 double UeSimulator::draw_cell_load(Environment env, SimTime now, Meters pos) {
   (void)pos;
   // Identity regimes skip the scaling entirely so the paper-default draw
@@ -98,17 +86,13 @@ double UeSimulator::target_load(Environment env) const {
 
 Dbm UeSimulator::layer_rsrp(Tech tech, const Cell& cell, double dist_m,
                             Environment env, Db shadow) const {
-  radio::ChannelState ch;
-  ch.shadowing = Db{shadow.value - cell.site_offset_db};
+  Db shadowing{shadow.value - cell.site_offset_db};
   if (tech == Tech::NR_MMWAVE) {
-    ch.shadowing = ch.shadowing + profile_.mmwave_beam_penalty;
+    shadowing = shadowing + profile_.mmwave_beam_penalty;
   }
-  // Cached mirror of the link-budget RSRP: ((const - pl) - shadowing) -
-  // blockage, with blockage 0 here (RSRP excludes fast fading and
-  // blockage by construction of the callers).
   const radio::BandDerived& bd = derived_.band(tech);
-  const double pl = radio::cached_pathloss_db(bd, env, dist_m);
-  return Dbm{(bd.rsrp_const_db - pl) - ch.shadowing.value};
+  return radio::rsrp(bd, radio::cached_pathloss_db(bd, env, dist_m),
+                     shadowing);
 }
 
 double UeSimulator::candidate_distance(Tech tech) const {
@@ -358,7 +342,7 @@ Millis UeSimulator::sample_ho_duration() {
   const Millis med = traffic_ == TrafficProfile::BackloggedUl
                          ? ht.median_ul
                          : ht.median_dl;
-  return Millis{med.value * std::exp(rng_.normal(0.0, ht.sigma))};
+  return Millis{med.value * rng_.lognormal(0.0, ht.sigma)};
 }
 
 void UeSimulator::begin_handover(SimTime now, Meters pos, Tech to_tech,
@@ -540,20 +524,13 @@ LinkSample UeSimulator::step_core(SimTime now, Meters pos, Mph speed,
   const double prb_dl = std::max(0.02, std::pow(1.0 - load_, 1.5));
   const double prb_ul = std::max(0.06, std::pow(1.0 - load_, 0.6));
 
-  // Cached mirrors of the link budget and PHY rate (radio/kernel.h): one
-  // hoisted path loss shared by the reported RSRP, RSRP-for-SINR and both
-  // SINR directions, table-driven adaptation.
+  // The radio chain (radio/kernel.h): one path loss serves the reported
+  // RSRP and both SINR directions.
   const radio::BandDerived& bd = derived_.band(tech);
   const double pl = radio::cached_pathloss_db(bd, env, dist.value);
-  s.rsrp = Dbm{(bd.rsrp_const_db - pl) - ch.shadowing.value};
-  const double rsrp_sinr =
-      ((bd.rsrp_const_db - pl) - ch.shadowing.value) - ch.blockage_loss.value;
-  const double rx_dl = rsrp_sinr + ch.fast_fading.value;
-  s.sinr_dl = Db{(rx_dl - radio::kNoisePerRe.value) - margin_dl.value};
-  const double rx_ul = (((bd.ul_const_db - pl) - ch.shadowing.value) -
-                        ch.blockage_loss.value) +
-                       ch.fast_fading.value;
-  s.sinr_ul = Db{(rx_ul - radio::kNoisePerRe.value) - margin_ul.value};
+  s.rsrp = radio::rsrp(bd, pl, ch.shadowing);
+  s.sinr_dl = radio::sinr_downlink(bd, pl, ch, margin_dl);
+  s.sinr_ul = radio::sinr_uplink(bd, pl, ch, margin_ul);
   const radio::PhyRateResult dl = radio::cached_phy_rate(
       derived_, bd, Direction::Downlink, s.sinr_dl, num_cc_dl_, prb_dl);
   const radio::PhyRateResult ul = radio::cached_phy_rate(

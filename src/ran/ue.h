@@ -114,16 +114,11 @@ class UeSimulator {
   [[nodiscard]] const std::vector<HandoverRecord>& handovers() const {
     return handovers_;
   }
-  // Unique cells ever connected to (Table 1 statistic).
-  [[nodiscard]] std::size_t unique_cell_count() const;
-  // Raw connection history (cell ids in attach order, with repeats).
+  // Connection history (cell ids in attach order, with repeats); the
+  // campaign takes Table 1's unique-cell count from its union.
   [[nodiscard]] const std::vector<CellId>& seen_cells() const {
     return seen_cells_;
   }
-
-  // Drop accumulated history (between campaign phases) without resetting
-  // radio state.
-  void clear_history();
 
  private:
   struct LayerState {
@@ -214,7 +209,7 @@ class UeSimulator {
   std::vector<double> travelled_scratch_;
 
   std::vector<HandoverRecord> handovers_;
-  std::vector<CellId> seen_cells_;  // sorted-unique on query
+  std::vector<CellId> seen_cells_;
 };
 
 }  // namespace wheels::ran

@@ -1,24 +1,46 @@
 #include <gtest/gtest.h>
 
+#include "radio/kernel.h"
 #include "radio/mcs.h"
 
 namespace wheels::radio {
 namespace {
 
+// The drive's CQI selection over the default plan's tables.
+int cqi_from_sinr(double sinr_db) {
+  static const DerivedPlan dp = derive_plan(default_band_plan());
+  return cqi_from_sinr_table(dp, sinr_db);
+}
+
+// The drive's residual BLER for transmitting `mcs` at `sinr_db`.
+double bler(int mcs, double sinr_db) {
+  return bler_at_gap(sinr_db - mcs_sinr_threshold(mcs).value);
+}
+
 TEST(Cqi, OutOfRangeIsZero) {
-  EXPECT_EQ(cqi_from_sinr(Db{-20.0}), 0);
+  EXPECT_EQ(cqi_from_sinr(-20.0), 0);
   EXPECT_DOUBLE_EQ(cqi_spectral_efficiency(0), 0.0);
 }
 
 TEST(Cqi, SaturatesAtMax) {
-  EXPECT_EQ(cqi_from_sinr(Db{40.0}), kMaxCqi);
-  EXPECT_EQ(cqi_from_sinr(Db{100.0}), kMaxCqi);
+  EXPECT_EQ(cqi_from_sinr(40.0), kMaxCqi);
+  EXPECT_EQ(cqi_from_sinr(100.0), kMaxCqi);
+}
+
+TEST(Cqi, DecodeThresholdIsInclusive) {
+  // A SINR exactly at CQI c's threshold decodes c; just below, c - 1.
+  for (int c = 1; c <= kMaxCqi; ++c) {
+    const double t = cqi_sinr_threshold(c).value;
+    EXPECT_EQ(cqi_from_sinr(t - 1e-9), c - 1) << c;
+    EXPECT_EQ(cqi_from_sinr(t), c) << c;
+    EXPECT_EQ(cqi_from_sinr(t + 1e-9), c) << c;
+  }
 }
 
 TEST(Cqi, MonotoneInSinr) {
   int prev = 0;
   for (double s = -10.0; s <= 30.0; s += 0.5) {
-    const int c = cqi_from_sinr(Db{s});
+    const int c = cqi_from_sinr(s);
     EXPECT_GE(c, prev);
     prev = c;
   }
@@ -74,21 +96,21 @@ class BlerWaterfall : public ::testing::TestWithParam<int> {};
 
 TEST_P(BlerWaterfall, FiftyPercentAtThreshold) {
   const int mcs = GetParam();
-  const Db thr = mcs_sinr_threshold(mcs);
+  const double thr = mcs_sinr_threshold(mcs).value;
   EXPECT_NEAR(bler(mcs, thr), 0.5, 1e-9);
 }
 
 TEST_P(BlerWaterfall, TenPercentOneDbAbove) {
   const int mcs = GetParam();
-  const Db thr = mcs_sinr_threshold(mcs);
-  EXPECT_NEAR(bler(mcs, Db{thr.value + 1.0}), 0.1, 0.02);
+  const double thr = mcs_sinr_threshold(mcs).value;
+  EXPECT_NEAR(bler(mcs, thr + 1.0), 0.1, 0.02);
 }
 
 TEST_P(BlerWaterfall, MonotoneDecreasingInSinr) {
   const int mcs = GetParam();
   double prev = 1.1;
   for (double s = -20.0; s <= 40.0; s += 1.0) {
-    const double b = bler(mcs, Db{s});
+    const double b = bler(mcs, s);
     EXPECT_LE(b, prev);
     EXPECT_GE(b, 0.0);
     EXPECT_LE(b, 1.0);
@@ -98,8 +120,8 @@ TEST_P(BlerWaterfall, MonotoneDecreasingInSinr) {
 
 TEST_P(BlerWaterfall, ExtremesSaturate) {
   const int mcs = GetParam();
-  EXPECT_GT(bler(mcs, Db{-40.0}), 0.999);
-  EXPECT_LT(bler(mcs, Db{60.0}), 1e-6);
+  EXPECT_GT(bler(mcs, -40.0), 0.999);
+  EXPECT_LT(bler(mcs, 60.0), 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(McsSweep, BlerWaterfall,
@@ -107,7 +129,7 @@ INSTANTIATE_TEST_SUITE_P(McsSweep, BlerWaterfall,
 
 TEST(Bler, HigherMcsNeedsMoreSinr) {
   // At a fixed SINR, BLER grows with the MCS index.
-  const Db s{10.0};
+  const double s = 10.0;
   double prev = -1.0;
   for (int m = 0; m <= kMaxMcs; m += 4) {
     const double b = bler(m, s);

@@ -2,18 +2,50 @@
 
 #include <tuple>
 
-#include "radio/link_budget.h"
-#include "radio/phy_rate.h"
+#include "radio/kernel.h"
 
 namespace wheels::radio {
 namespace {
+
+const DerivedPlan& plan() {
+  static const DerivedPlan dp = derive_plan(default_band_plan());
+  return dp;
+}
+
+// The drive's PHY rate over the default band plan.
+PhyRateResult phy_rate(Tech tech, Direction dir, double sinr_db, int num_cc,
+                       double prb_fraction) {
+  return cached_phy_rate(plan(), plan().band(tech), dir, Db{sinr_db}, num_cc,
+                         prb_fraction);
+}
+
+// The drive's link budget over the default band plan's path loss.
+double pl_db(Tech tech, Environment env, double distance_m) {
+  return cached_pathloss_db(plan().band(tech), env, distance_m);
+}
+double rsrp_dbm(Tech tech, Environment env, double distance_m, Db shadowing) {
+  return rsrp(plan().band(tech), pl_db(tech, env, distance_m), shadowing)
+      .value;
+}
+double sinr_dl_db(Tech tech, Environment env, double distance_m,
+                  const ChannelState& ch, Db margin) {
+  return sinr_downlink(plan().band(tech), pl_db(tech, env, distance_m), ch,
+                       margin)
+      .value;
+}
+double sinr_ul_db(Tech tech, Environment env, double distance_m,
+                  const ChannelState& ch, Db margin) {
+  return sinr_uplink(plan().band(tech), pl_db(tech, env, distance_m), ch,
+                     margin)
+      .value;
+}
 
 class PhyRateProperties
     : public ::testing::TestWithParam<std::tuple<Tech, Direction>> {};
 
 TEST_P(PhyRateProperties, ZeroBelowDecodeRange) {
   const auto [tech, dir] = GetParam();
-  const auto r = compute_phy_rate(tech, dir, Db{-15.0}, 1, 1.0);
+  const auto r = phy_rate(tech, dir, -15.0, 1, 1.0);
   EXPECT_DOUBLE_EQ(r.rate.value, 0.0);
   EXPECT_EQ(r.mcs, 0);
 }
@@ -22,7 +54,7 @@ TEST_P(PhyRateProperties, MonotoneInSinr) {
   const auto [tech, dir] = GetParam();
   double prev = -1.0;
   for (double s = -10.0; s <= 40.0; s += 1.0) {
-    const double rate = compute_phy_rate(tech, dir, Db{s}, 1, 1.0).rate.value;
+    const double rate = phy_rate(tech, dir, s, 1, 1.0).rate.value;
     EXPECT_GE(rate, prev - 1e-9) << "sinr=" << s;
     prev = rate;
   }
@@ -31,11 +63,10 @@ TEST_P(PhyRateProperties, MonotoneInSinr) {
 TEST_P(PhyRateProperties, MonotoneInCc) {
   const auto [tech, dir] = GetParam();
   double prev = 0.0;
-  const BandProfile& p = band_profile(tech);
+  const BandProfile& p = default_band_plan().profile(tech);
   const int max_cc = dir == Direction::Downlink ? p.max_cc_dl : p.max_cc_ul;
   for (int cc = 1; cc <= max_cc; ++cc) {
-    const double rate =
-        compute_phy_rate(tech, dir, Db{15.0}, cc, 0.3).rate.value;
+    const double rate = phy_rate(tech, dir, 15.0, cc, 0.3).rate.value;
     EXPECT_GE(rate, prev - 1e-9) << "cc=" << cc;
     prev = rate;
   }
@@ -43,10 +74,8 @@ TEST_P(PhyRateProperties, MonotoneInCc) {
 
 TEST_P(PhyRateProperties, ScalesWithPrbFraction) {
   const auto [tech, dir] = GetParam();
-  const double half =
-      compute_phy_rate(tech, dir, Db{15.0}, 1, 0.5).rate.value;
-  const double full =
-      compute_phy_rate(tech, dir, Db{15.0}, 1, 1.0).rate.value;
+  const double half = phy_rate(tech, dir, 15.0, 1, 0.5).rate.value;
+  const double full = phy_rate(tech, dir, 15.0, 1, 1.0).rate.value;
   if (full < ue_peak_rate(tech, dir).value - 1e-6) {
     EXPECT_NEAR(half, full / 2.0, full * 0.01);
   } else {
@@ -56,17 +85,17 @@ TEST_P(PhyRateProperties, ScalesWithPrbFraction) {
 
 TEST_P(PhyRateProperties, NeverExceedsUePeak) {
   const auto [tech, dir] = GetParam();
-  const auto r = compute_phy_rate(tech, dir, Db{60.0}, 8, 1.0);
+  const auto r = phy_rate(tech, dir, 60.0, 8, 1.0);
   EXPECT_LE(r.rate.value, ue_peak_rate(tech, dir).value + 1e-9);
 }
 
 TEST_P(PhyRateProperties, CcClampedToProfile) {
   const auto [tech, dir] = GetParam();
-  const BandProfile& p = band_profile(tech);
+  const BandProfile& p = default_band_plan().profile(tech);
   const int max_cc = dir == Direction::Downlink ? p.max_cc_dl : p.max_cc_ul;
-  const auto r = compute_phy_rate(tech, dir, Db{20.0}, 99, 1.0);
+  const auto r = phy_rate(tech, dir, 20.0, 99, 1.0);
   EXPECT_LE(r.num_cc, max_cc);
-  const auto r0 = compute_phy_rate(tech, dir, Db{20.0}, 0, 1.0);
+  const auto r0 = phy_rate(tech, dir, 20.0, 0, 1.0);
   EXPECT_GE(r0.num_cc, 1);
 }
 
@@ -78,24 +107,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(PhyRate, MmwavePeakNearUeCapability) {
   // Samsung S21 class: ~3.5 Gbps DL over 8CC mmWave at high SINR.
-  const auto r =
-      compute_phy_rate(Tech::NR_MMWAVE, Direction::Downlink, Db{35.0}, 8,
-                       1.0);
+  const auto r = phy_rate(Tech::NR_MMWAVE, Direction::Downlink, 35.0, 8, 1.0);
   EXPECT_NEAR(r.rate.value, 3500.0, 1.0);
 }
 
 TEST(PhyRate, TechnologyOrderingAtGoodSinr) {
   // At the same SINR/PRB share, wider technologies are faster.
   const double lte =
-      compute_phy_rate(Tech::LTE, Direction::Downlink, Db{20.0}, 1, 0.5)
-          .rate.value;
+      phy_rate(Tech::LTE, Direction::Downlink, 20.0, 1, 0.5).rate.value;
   const double mid =
-      compute_phy_rate(Tech::NR_MID, Direction::Downlink, Db{20.0}, 1, 0.5)
-          .rate.value;
+      phy_rate(Tech::NR_MID, Direction::Downlink, 20.0, 1, 0.5).rate.value;
   const double mmw =
-      compute_phy_rate(Tech::NR_MMWAVE, Direction::Downlink, Db{20.0}, 4,
-                       0.5)
-          .rate.value;
+      phy_rate(Tech::NR_MMWAVE, Direction::Downlink, 20.0, 4, 0.5).rate.value;
   EXPECT_LT(lte, mid);
   EXPECT_LT(mid, mmw);
 }
@@ -104,59 +127,53 @@ TEST(PhyRate, ResidualBlerNearTargetAfterAdaptation) {
   // The 1 dB scheduler backoff should land the primary carrier's BLER in
   // the vicinity of the 10% operating point (quantization makes it vary).
   for (double s = 5.0; s <= 25.0; s += 2.0) {
-    const auto r =
-        compute_phy_rate(Tech::LTE_A, Direction::Downlink, Db{s}, 1, 1.0);
+    const auto r = phy_rate(Tech::LTE_A, Direction::Downlink, s, 1, 1.0);
     EXPECT_LT(r.bler, 0.55) << "sinr=" << s;
   }
 }
 
 TEST(LinkBudget, RsrpDecreasesWithDistance) {
-  ChannelState ch;
   double prev = 1e9;
   for (double d = 50.0; d <= 5'000.0; d *= 2.0) {
-    const double r =
-        rsrp(Tech::LTE_A, Environment::Suburban, Meters{d}, ch).value;
+    const double r = rsrp_dbm(Tech::LTE_A, Environment::Suburban, d, Db{0.0});
     EXPECT_LT(r, prev);
     prev = r;
   }
 }
 
 TEST(LinkBudget, RsrpInPlausibleRange) {
-  ChannelState ch;
   // Near cell: strong; far: weak. Typical measured range -60..-125 dBm.
   const double near =
-      rsrp(Tech::LTE_A, Environment::Urban, Meters{100.0}, ch).value;
+      rsrp_dbm(Tech::LTE_A, Environment::Urban, 100.0, Db{0.0});
   const double far =
-      rsrp(Tech::LTE_A, Environment::Urban, Meters{3'000.0}, ch).value;
+      rsrp_dbm(Tech::LTE_A, Environment::Urban, 3'000.0, Db{0.0});
   EXPECT_GT(near, -85.0);
   EXPECT_LT(near, -35.0);
   EXPECT_GT(far, -135.0);
   EXPECT_LT(far, -90.0);
 }
 
-TEST(LinkBudget, ShadowingAndBlockageReduceRsrp) {
+TEST(LinkBudget, ShadowingReducesRsrpBlockageOnlySinr) {
+  // RSRP carries shadowing; blockage hits the data channel's SINR.
   ChannelState clean;
   ChannelState shadowed;
   shadowed.shadowing = Db{8.0};
   shadowed.blockage_loss = Db{25.0};
-  const double a =
-      rsrp(Tech::NR_MMWAVE, Environment::Urban, Meters{100.0}, clean).value;
-  const double b =
-      rsrp(Tech::NR_MMWAVE, Environment::Urban, Meters{100.0}, shadowed)
-          .value;
-  EXPECT_NEAR(a - b, 33.0, 1e-9);
+  const Environment env = Environment::Urban;
+  EXPECT_NEAR(rsrp_dbm(Tech::NR_MMWAVE, env, 100.0, clean.shadowing) -
+                  rsrp_dbm(Tech::NR_MMWAVE, env, 100.0, shadowed.shadowing),
+              8.0, 1e-9);
+  EXPECT_NEAR(sinr_dl_db(Tech::NR_MMWAVE, env, 100.0, clean, Db{0.0}) -
+                  sinr_dl_db(Tech::NR_MMWAVE, env, 100.0, shadowed, Db{0.0}),
+              33.0, 1e-9);
 }
 
 TEST(LinkBudget, InterferenceMarginReducesSinr) {
   ChannelState ch;
   const double clean =
-      sinr_downlink(Tech::NR_MID, Environment::Urban, Meters{500.0}, ch,
-                    Db{0.0})
-          .value;
+      sinr_dl_db(Tech::NR_MID, Environment::Urban, 500.0, ch, Db{0.0});
   const double loaded =
-      sinr_downlink(Tech::NR_MID, Environment::Urban, Meters{500.0}, ch,
-                    Db{15.0})
-          .value;
+      sinr_dl_db(Tech::NR_MID, Environment::Urban, 500.0, ch, Db{15.0});
   EXPECT_NEAR(clean - loaded, 15.0, 1e-9);
 }
 
@@ -164,12 +181,8 @@ TEST(LinkBudget, UplinkWeakerThanDownlinkAtRange) {
   // The UE's 23 dBm cannot match the BS at distance: UL SINR < DL SINR.
   ChannelState ch;
   for (Tech t : kAllTechs) {
-    const double dl =
-        sinr_downlink(t, Environment::Rural, Meters{2'000.0}, ch, Db{5.0})
-            .value;
-    const double ul =
-        sinr_uplink(t, Environment::Rural, Meters{2'000.0}, ch, Db{5.0})
-            .value;
+    const double dl = sinr_dl_db(t, Environment::Rural, 2'000.0, ch, Db{5.0});
+    const double ul = sinr_ul_db(t, Environment::Rural, 2'000.0, ch, Db{5.0});
     EXPECT_LT(ul, dl) << to_string(t);
   }
 }

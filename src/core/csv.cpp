@@ -25,61 +25,4 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
   os_ << '\n';
 }
 
-std::vector<std::vector<std::string>> parse_csv(const std::string& text) {
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> row;
-  std::string cell;
-  bool in_quotes = false;
-  bool cell_started = false;
-
-  auto end_cell = [&] {
-    row.push_back(std::move(cell));
-    cell.clear();
-    cell_started = false;
-  };
-  auto end_row = [&] {
-    end_cell();
-    rows.push_back(std::move(row));
-    row.clear();
-  };
-
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          cell += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cell += c;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        in_quotes = true;
-        cell_started = true;
-        break;
-      case ',':
-        end_cell();
-        cell_started = true;  // next cell exists even if empty
-        break;
-      case '\r':
-        break;  // tolerate CRLF
-      case '\n':
-        end_row();
-        break;
-      default:
-        cell += c;
-        cell_started = true;
-        break;
-    }
-  }
-  if (cell_started || !cell.empty() || !row.empty()) end_row();
-  return rows;
-}
-
 }  // namespace wheels

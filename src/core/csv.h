@@ -1,5 +1,5 @@
-// Minimal CSV reader/writer for exporting datasets and re-ingesting them in
-// the logsync pipeline tests. Handles quoting of commas/quotes/newlines.
+// Minimal CSV writer for exporting datasets. Quotes cells holding commas,
+// quotes or newlines per RFC 4180.
 #pragma once
 
 #include <iosfwd>
@@ -20,10 +20,5 @@ class CsvWriter {
  private:
   std::ostream& os_;
 };
-
-// Parse a full CSV document into rows of cells. Supports quoted cells with
-// embedded commas, quotes ("" escape) and newlines.
-[[nodiscard]] std::vector<std::vector<std::string>> parse_csv(
-    const std::string& text);
 
 }  // namespace wheels

@@ -9,7 +9,6 @@ namespace {
 constexpr double kEarthRadiusM = 6'371'000.0;
 
 constexpr double deg2rad(double d) { return d * std::numbers::pi / 180.0; }
-constexpr double rad2deg(double r) { return r * 180.0 / std::numbers::pi; }
 
 }  // namespace
 
@@ -27,32 +26,6 @@ Meters haversine_distance(const LatLon& a, const LatLon& b) {
 
 LatLon interpolate(const LatLon& a, const LatLon& b, double t) {
   return LatLon{a.lat + (b.lat - a.lat) * t, a.lon + (b.lon - a.lon) * t};
-}
-
-double initial_bearing_deg(const LatLon& a, const LatLon& b) {
-  const double phi1 = deg2rad(a.lat);
-  const double phi2 = deg2rad(b.lat);
-  const double dlam = deg2rad(b.lon - a.lon);
-  const double y = std::sin(dlam) * std::cos(phi2);
-  const double x = std::cos(phi1) * std::sin(phi2) -
-                   std::sin(phi1) * std::cos(phi2) * std::cos(dlam);
-  double brg = rad2deg(std::atan2(y, x));
-  if (brg < 0) brg += 360.0;
-  return brg;
-}
-
-LatLon destination(const LatLon& origin, double bearing_deg, Meters distance) {
-  const double delta = distance.value / kEarthRadiusM;
-  const double theta = deg2rad(bearing_deg);
-  const double phi1 = deg2rad(origin.lat);
-  const double lam1 = deg2rad(origin.lon);
-  const double phi2 = std::asin(std::sin(phi1) * std::cos(delta) +
-                                std::cos(phi1) * std::sin(delta) *
-                                    std::cos(theta));
-  const double lam2 =
-      lam1 + std::atan2(std::sin(theta) * std::sin(delta) * std::cos(phi1),
-                        std::cos(delta) - std::sin(phi1) * std::sin(phi2));
-  return LatLon{rad2deg(phi2), rad2deg(lam2)};
 }
 
 }  // namespace wheels

@@ -21,11 +21,4 @@ struct LatLon {
 // used by the route model.
 [[nodiscard]] LatLon interpolate(const LatLon& a, const LatLon& b, double t);
 
-// Initial bearing from a to b, degrees clockwise from north in [0, 360).
-[[nodiscard]] double initial_bearing_deg(const LatLon& a, const LatLon& b);
-
-// Destination point at `distance` along `bearing_deg` from `origin`.
-[[nodiscard]] LatLon destination(const LatLon& origin, double bearing_deg,
-                                 Meters distance);
-
 }  // namespace wheels

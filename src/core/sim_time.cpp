@@ -1,8 +1,6 @@
 #include "core/sim_time.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace wheels {
 
@@ -64,19 +62,6 @@ SimTime from_civil(const CivilTime& ct, TimeZone tz) {
                           ct.minute * 60.0e3 + ct.second * 1.0e3 +
                           ct.millisecond;
   return SimTime{local_ms - utc_offset_hours(tz) * 3600.0e3};
-}
-
-std::string format_civil(const CivilTime& ct) {
-  // Formatted straight into the result, truncated at 47 characters. (GCC's
-  // -fanalyzer reads a std::string built from a char buffer as a use of
-  // uninitialized memory, zeroed buffer or not.)
-  std::string out(47, '\0');
-  const int n = std::snprintf(out.data(), out.size() + 1,
-                              "D%d %02d:%02d:%02d.%03d", ct.day, ct.hour,
-                              ct.minute, ct.second, ct.millisecond);
-  out.resize(static_cast<std::size_t>(
-      std::clamp(n, 0, static_cast<int>(out.size()))));
-  return out;
 }
 
 }  // namespace wheels

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "core/units.h"
 
@@ -66,8 +65,5 @@ struct CivilTime {
 
 // Convert civil time in a zone back to absolute SimTime.
 [[nodiscard]] SimTime from_civil(const CivilTime& ct, TimeZone tz);
-
-// "D1 13:45:02.500" -- human-readable form used in logs.
-[[nodiscard]] std::string format_civil(const CivilTime& ct);
 
 }  // namespace wheels

@@ -20,32 +20,11 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const {
   return n_ ? m2_ / static_cast<double>(n_) : 0.0;
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::cv_percent() const {
-  return mean_ != 0.0 ? 100.0 * stddev() / std::abs(mean_) : 0.0;
-}
 
 namespace {
 
@@ -133,14 +112,6 @@ double EmpiricalCdf::quantile(double p) const {
   return sorted_percentile(sorted_, p * 100.0);
 }
 
-double EmpiricalCdf::min() const {
-  return sorted_.empty() ? 0.0 : sorted_.front();
-}
-
-double EmpiricalCdf::max() const {
-  return sorted_.empty() ? 0.0 : sorted_.back();
-}
-
 std::vector<EmpiricalCdf::Point> EmpiricalCdf::curve(std::size_t points) const {
   std::vector<Point> out;
   if (sorted_.empty() || points < 2) return out;
@@ -151,36 +122,6 @@ std::vector<EmpiricalCdf::Point> EmpiricalCdf::curve(std::size_t points) const {
     out.push_back({quantile(p), p});
   }
   return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins) {
-  if (bins == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram: need bins > 0 and hi > lo");
-  }
-}
-
-void Histogram::add(double x) {
-  auto bin = static_cast<long>((x - lo_) / width_);
-  bin = std::clamp<long>(bin, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-std::size_t Histogram::count(std::size_t bin) const { return counts_.at(bin); }
-
-double Histogram::fraction(std::size_t bin) const {
-  return total_ ? static_cast<double>(counts_.at(bin)) /
-                      static_cast<double>(total_)
-                : 0.0;
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  return lo_ + width_ * static_cast<double>(bin + 1);
 }
 
 }  // namespace wheels

@@ -1,5 +1,5 @@
 // Statistics toolkit used by the analysis layer: percentiles, empirical
-// CDFs, Pearson correlation, running moments, and histograms.
+// CDFs, Pearson correlation and running moments.
 #pragma once
 
 #include <cmath>
@@ -37,7 +37,6 @@ namespace wheels {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
@@ -47,9 +46,6 @@ class RunningStats {
   // and a silent 0.0 poisons downstream mins/maxes.
   [[nodiscard]] double min() const { return min_; }
   [[nodiscard]] double max() const { return max_; }
-  // Coefficient of variation as a percentage (the paper's "std. dev. as a
-  // percentage over the mean", Fig. 9 bottom row).
-  [[nodiscard]] double cv_percent() const;
 
  private:
   std::size_t n_ = 0;
@@ -93,8 +89,6 @@ class EmpiricalCdf {
   [[nodiscard]] double at(double x) const;
   // Inverse CDF, p in [0, 1].
   [[nodiscard]] double quantile(double p) const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
   [[nodiscard]] const std::vector<double>& sorted() const { return sorted_; }
 
   // Sample the CDF at `points` evenly spaced quantiles -- the series a
@@ -107,27 +101,6 @@ class EmpiricalCdf {
 
  private:
   std::vector<double> sorted_;
-};
-
-// Fixed-width histogram over [lo, hi); out-of-range values clamp into the
-// first/last bin.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const;
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] double fraction(std::size_t bin) const;
-  [[nodiscard]] double bin_lo(std::size_t bin) const;
-  [[nodiscard]] double bin_hi(std::size_t bin) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace wheels

@@ -67,17 +67,4 @@ void print_cdf(std::ostream& os, const std::string& label,
   }
 }
 
-void print_summary(std::ostream& os, const std::string& label,
-                   const EmpiricalCdf& cdf) {
-  os << label << ": n=" << cdf.count();
-  if (!cdf.empty()) {
-    os << "  min=" << fmt(cdf.min(), 2) << "  p25=" << fmt(cdf.quantile(0.25), 2)
-       << "  med=" << fmt(cdf.quantile(0.50), 2)
-       << "  p75=" << fmt(cdf.quantile(0.75), 2)
-       << "  p90=" << fmt(cdf.quantile(0.90), 2)
-       << "  max=" << fmt(cdf.max(), 2);
-  }
-  os << '\n';
-}
-
 }  // namespace wheels

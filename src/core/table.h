@@ -34,8 +34,4 @@ class TextTable {
 void print_cdf(std::ostream& os, const std::string& label,
                const EmpiricalCdf& cdf, std::size_t points = 11);
 
-// Print a one-line quantile summary: n, min, p25, median, p75, p90, max.
-void print_summary(std::ostream& os, const std::string& label,
-                   const EmpiricalCdf& cdf);
-
 }  // namespace wheels

@@ -63,11 +63,6 @@ CampaignProvider::CampaignProvider(ProviderOptions opts)
 
 CampaignProvider::~CampaignProvider() = default;
 
-void CampaignProvider::set_jobs(int jobs) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  jobs_ = resolve_jobs(jobs);
-}
-
 void CampaignProvider::set_inflight_hook(InflightHook hook) {
   const std::lock_guard<std::mutex> lock(mu_);
   inflight_hook_ = std::move(hook);

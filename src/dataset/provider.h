@@ -97,9 +97,6 @@ class CampaignProvider {
   const std::vector<apps::AppRunRecord>& load_or_run_apps_static(
       const apps::AppCampaignConfig& cfg, ran::OperatorId op);
 
-  // Re-resolve the worker count (jobs <= 0 reads WHEELS_JOBS) for every
-  // later simulation.
-  void set_jobs(int jobs);
   [[nodiscard]] int jobs() const { return jobs_; }
 
   // Full-drive campaign simulations executed by this provider (measurement

@@ -342,13 +342,6 @@ std::string encode_header(DatasetKind kind, std::uint64_t fingerprint,
   return w.take();
 }
 
-std::string wrap_dataset(DatasetKind kind, std::uint64_t fingerprint,
-                         std::string_view payload) {
-  std::string out = encode_header(kind, fingerprint, payload);
-  out.append(payload);
-  return out;
-}
-
 std::optional<DatasetHeader> parse_header(std::string_view file) {
   if (file.size() < kHeaderBytes) return std::nullopt;
   if (file.substr(0, kMagic.size()) != kMagic) return std::nullopt;

@@ -125,11 +125,6 @@ inline constexpr std::size_t kHeaderBytes = 4 + 4 + 1 + 8 + 8 + 8;
                                         std::uint64_t fingerprint,
                                         std::string_view payload);
 
-// Prepend the header to an encoded payload, producing the full file image.
-[[nodiscard]] std::string wrap_dataset(DatasetKind kind,
-                                       std::uint64_t fingerprint,
-                                       std::string_view payload);
-
 // Parse just the header (for `wheels_campaign info`); nullopt when the file
 // is too short or the magic/version tag is unrecognisable.
 [[nodiscard]] std::optional<DatasetHeader> parse_header(std::string_view file);

@@ -6,16 +6,6 @@
 
 namespace wheels::logsync {
 
-const char* to_string(RecordSource s) {
-  switch (s) {
-    case RecordSource::Xcal: return "xcal";
-    case RecordSource::Rtt: return "rtt";
-    case RecordSource::App: return "app";
-    case RecordSource::Passive: return "passive";
-  }
-  return "?";
-}
-
 std::uint32_t ConsolidatedDb::add_stream(
     RecordSource source, const std::vector<std::string>& timestamps,
     const LogClock& clock) {
@@ -42,24 +32,6 @@ void ConsolidatedDb::finalize() {
                      return a.time.ms_since_epoch < b.time.ms_since_epoch;
                    });
   finalized_ = true;
-}
-
-std::vector<ConsolidatedRecord> ConsolidatedDb::between(SimTime from,
-                                                        SimTime to) const {
-  if (!finalized_) {
-    throw std::logic_error("ConsolidatedDb: finalize() first");
-  }
-  const auto lo = std::lower_bound(
-      records_.begin(), records_.end(), from,
-      [](const ConsolidatedRecord& r, SimTime t) {
-        return r.time.ms_since_epoch < t.ms_since_epoch;
-      });
-  const auto hi = std::lower_bound(
-      lo, records_.end(), to,
-      [](const ConsolidatedRecord& r, SimTime t) {
-        return r.time.ms_since_epoch < t.ms_since_epoch;
-      });
-  return {lo, hi};
 }
 
 std::vector<long> ConsolidatedDb::join_nearest(std::uint32_t left_stream,

@@ -14,8 +14,6 @@ namespace wheels::logsync {
 
 enum class RecordSource : std::uint8_t { Xcal, Rtt, App, Passive };
 
-[[nodiscard]] const char* to_string(RecordSource s);
-
 // A normalized record: absolute time + source + an opaque payload index
 // into the source's own storage (the database does not copy payloads).
 struct ConsolidatedRecord {
@@ -43,10 +41,6 @@ class ConsolidatedDb {
   }
   [[nodiscard]] std::size_t dropped_records() const { return dropped_; }
   [[nodiscard]] bool finalized() const { return finalized_; }
-
-  // All records within [from, to), in time order. Requires finalize().
-  [[nodiscard]] std::vector<ConsolidatedRecord> between(SimTime from,
-                                                        SimTime to) const;
 
   // For each record of `left_stream`, the payload index of the nearest
   // record of `right_stream` within `tolerance`, or -1 (the app->XCAL

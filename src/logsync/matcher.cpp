@@ -17,22 +17,6 @@ std::string xcal_filename(const std::string& op, SimTime start,
   return buf;
 }
 
-std::optional<SimTime> parse_xcal_filename(const std::string& filename,
-                                           TimeZone local_tz) {
-  // Scan from the end: ..._YYYY-MM-DD_HH-MM-SS.drm
-  const auto pos = filename.rfind(".drm");
-  if (pos == std::string::npos || pos < 20) return std::nullopt;
-  const std::string stamp = filename.substr(pos - 19, 19);
-  int year = 0, month = 0, dom = 0, h = 0, m = 0, s = 0;
-  if (std::sscanf(stamp.c_str(), "%d-%d-%d_%d-%d-%d", &year, &month, &dom,
-                  &h, &m, &s) != 6) {
-    return std::nullopt;
-  }
-  if (year != 2022 || month != 8) return std::nullopt;
-  CivilTime ct{dom - kCampaignStartDayOfMonth + 1, h, m, s, 0};
-  return from_civil(ct, local_tz);
-}
-
 std::optional<std::pair<SimTime, SimTime>> app_log_interval(
     const AppLogFile& log) {
   const auto a = parse_timestamp(log.first_record, log.clock);

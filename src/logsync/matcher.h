@@ -34,11 +34,6 @@ struct AppLogFile {
 [[nodiscard]] std::string xcal_filename(const std::string& op, SimTime start,
                                         TimeZone local_tz);
 
-// Recover the recording start time from an XCAL filename (inverse of
-// xcal_filename; needs the timezone the file was created in).
-[[nodiscard]] std::optional<SimTime> parse_xcal_filename(
-    const std::string& filename, TimeZone local_tz);
-
 // Absolute [start, end] of an app log, or nullopt if its records are
 // unparsable.
 [[nodiscard]] std::optional<std::pair<SimTime, SimTime>> app_log_interval(

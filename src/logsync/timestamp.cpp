@@ -16,15 +16,6 @@ TimeZone effective_zone(const LogClock& clock) {
 
 }  // namespace
 
-const char* to_string(ClockKind k) {
-  switch (k) {
-    case ClockKind::Utc: return "UTC";
-    case ClockKind::Local: return "local";
-    case ClockKind::FixedEdt: return "EDT";
-  }
-  return "?";
-}
-
 std::string format_timestamp(SimTime t, const LogClock& clock) {
   CivilTime ct;
   if (clock.kind == ClockKind::Utc) {

@@ -21,8 +21,6 @@ enum class ClockKind : std::uint8_t {
   FixedEdt,  // XCAL record contents: always EDT regardless of location
 };
 
-[[nodiscard]] const char* to_string(ClockKind k);
-
 struct LogClock {
   ClockKind kind = ClockKind::Utc;
   // The vehicle's timezone at logging time; meaningful for Local.

@@ -17,10 +17,6 @@ MptcpConnection::MptcpConnection(Rng rng, std::size_t subflows,
   }
 }
 
-void MptcpConnection::restart() {
-  for (auto& f : flows_) f.restart();
-}
-
 MptcpStepResult MptcpConnection::step(
     Millis dt, const std::vector<SubflowInput>& links) {
   if (links.size() != flows_.size()) {

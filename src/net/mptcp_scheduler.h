@@ -38,7 +38,6 @@ class MptcpConnection {
   // Advance all subflows by dt over their current links.
   MptcpStepResult step(Millis dt, const std::vector<SubflowInput>& links);
 
-  void restart();
   [[nodiscard]] std::size_t subflow_count() const { return flows_.size(); }
   [[nodiscard]] const CubicFlow& subflow(std::size_t i) const {
     return flows_.at(i);

@@ -222,12 +222,8 @@ void Registry::bump(std::size_t cell, std::uint64_t n) {
   slot.shard.bump(cell, n);
 }
 
-void Registry::gauge_store(std::size_t index, std::int64_t v, bool max_only) {
+void Registry::gauge_max(std::size_t index, std::int64_t v) {
   Impl::GaugeCell& cell = impl_->gauges[index];
-  if (!max_only) {
-    cell.v.store(v, std::memory_order_relaxed);
-    return;
-  }
   std::int64_t cur = cell.v.load(std::memory_order_relaxed);
   while (v > cur && !cell.v.compare_exchange_weak(cur, v,
                                                   std::memory_order_relaxed)) {
@@ -285,9 +281,7 @@ void Registry::reset_values_for_testing() {
 
 void Counter::add(std::uint64_t n) { reg_->bump(cell_, n); }
 
-void Gauge::set(std::int64_t v) { reg_->gauge_store(index_, v, false); }
-
-void Gauge::set_max(std::int64_t v) { reg_->gauge_store(index_, v, true); }
+void Gauge::set_max(std::int64_t v) { reg_->gauge_max(index_, v); }
 
 void Histogram::observe(std::int64_t v) {
   if (v < 0) v = 0;

@@ -56,7 +56,6 @@ class Counter {
 
 class Gauge {
  public:
-  void set(std::int64_t v);
   // Raise the gauge to v if v is larger (high-watermark semantics).
   void set_max(std::int64_t v);
 
@@ -158,7 +157,7 @@ class Registry {
   ~Registry();
 
   void bump(std::size_t cell, std::uint64_t n);
-  void gauge_store(std::size_t index, std::int64_t v, bool max_only);
+  void gauge_max(std::size_t index, std::int64_t v);
 
   Impl* impl_;
 };

@@ -149,24 +149,6 @@ void set_rng_audit_export_path(std::string path) {
   }
 }
 
-std::string metrics_export_path() {
-  ExportState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  return s.metrics_path;
-}
-
-std::string trace_export_path() {
-  ExportState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  return s.trace_path;
-}
-
-std::string rng_audit_export_path() {
-  ExportState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  return s.rng_audit_path;
-}
-
 bool flush_exports() {
   std::string metrics_path;
   std::string trace_path;

@@ -28,10 +28,6 @@ void set_trace_export_path(std::string path);
 // obs/rng_audit.h); the JSONL fork-tree snapshot is written at flush.
 void set_rng_audit_export_path(std::string path);
 
-[[nodiscard]] std::string metrics_export_path();
-[[nodiscard]] std::string trace_export_path();
-[[nodiscard]] std::string rng_audit_export_path();
-
 // Write every armed export now (overwriting the files). Returns false if
 // any armed export failed to write; disarmed exporters are skipped and
 // never fail. Also runs at process exit, so explicit calls are only needed

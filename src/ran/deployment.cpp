@@ -96,8 +96,7 @@ Deployment Deployment::generate(const Corridor& corridor,
           case Tech::NR_MMWAVE: bh_median *= 3.0; break;
           default: break;
         }
-        c.backhaul_dl_mbps =
-            bh_median * std::exp(layer_rng.normal(0.0, bh_sigma));
+        c.backhaul_dl_mbps = bh_median * layer_rng.lognormal(0.0, bh_sigma);
         cells.push_back(c);
         pos += spacing * layer_rng.uniform(0.75, 1.25);
       }
@@ -112,12 +111,6 @@ Deployment Deployment::generate(const Corridor& corridor,
 
 std::span<const Cell> Deployment::cells(Tech tech) const {
   return by_tech_[idx(tech)];
-}
-
-std::size_t Deployment::total_cells() const {
-  std::size_t n = 0;
-  for (const auto& v : by_tech_) n += v.size();
-  return n;
 }
 
 }  // namespace wheels::ran

@@ -54,7 +54,6 @@ class Deployment {
   }
 
   [[nodiscard]] std::span<const Cell> cells(radio::Tech tech) const;
-  [[nodiscard]] std::size_t total_cells() const;
 
   // Service range beyond which a cell of this layer is unusable. A site
   // serves up to ~0.9x the inter-site distance along the road (beyond

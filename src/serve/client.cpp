@@ -60,13 +60,6 @@ bool Client::connect(const std::string& socket_path) {
   return true;
 }
 
-void Client::attach(int in_fd, int out_fd) {
-  close();
-  in_fd_ = in_fd;
-  out_fd_ = out_fd;
-  owns_fds_ = false;
-}
-
 void Client::close() {
   if (owns_fds_) {
     if (in_fd_ >= 0) ::close(in_fd_);

@@ -1,9 +1,9 @@
 // Blocking client for the serve daemon's framed protocol.
 //
-// Wraps connect / frame-write / frame-read over an AF_UNIX socket (or an
-// arbitrary fd pair for pipe transports). Used by tools/wheels_loadgen and
-// tests/test_serve; keeps the raw bytes of the last reply so callers can
-// assert byte-identity, and exposes send_raw() for malformed-frame probes.
+// Wraps connect / frame-write / frame-read over an AF_UNIX socket. Used
+// by tools/wheels_loadgen and tests/test_serve; keeps the raw bytes of the
+// last reply so callers can assert byte-identity, and exposes send_raw()
+// for malformed-frame probes.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +26,6 @@ class Client {
 
   // Connect to a daemon's AF_UNIX socket; false on failure.
   [[nodiscard]] bool connect(const std::string& socket_path);
-  // Adopt an existing fd pair instead (not closed on destruction).
-  void attach(int in_fd, int out_fd);
 
   [[nodiscard]] bool connected() const { return out_fd_ >= 0; }
   void close();

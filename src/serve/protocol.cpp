@@ -145,18 +145,6 @@ bool decode_alternative(ByteReader& r, std::size_t i, Variant& out) {
 
 }  // namespace
 
-const char* to_string(QueryKind kind) {
-  switch (kind) {
-    case QueryKind::Ping: return "ping";
-    case QueryKind::KpiPercentiles: return "kpi";
-    case QueryKind::RegionSlice: return "region";
-    case QueryKind::AppQoe: return "app_qoe";
-    case QueryKind::Stats: return "stats";
-    case QueryKind::Shutdown: return "shutdown";
-  }
-  return "?";
-}
-
 const char* to_string(ErrorCode code) {
   switch (code) {
     case ErrorCode::BadMagic: return "bad-magic";

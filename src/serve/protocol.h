@@ -54,7 +54,6 @@ enum class ErrorCode : std::uint16_t {
   Busy = 9,
 };
 
-[[nodiscard]] const char* to_string(QueryKind kind);
 [[nodiscard]] const char* to_string(ErrorCode code);
 
 // Which dataset a query runs against: a scenario from the built-in

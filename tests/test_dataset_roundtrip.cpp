@@ -254,7 +254,7 @@ TEST(DatasetContainer, WrapUnwrapRoundtrip) {
   const std::string payload = encode(make_static_baseline());
   const std::uint64_t fp = 0xdeadbeefcafef00dULL;
   const std::string file =
-      wrap_dataset(DatasetKind::StaticBaseline, fp, payload);
+      encode_header(DatasetKind::StaticBaseline, fp, payload) + payload;
 
   const auto header = parse_header(file);
   ASSERT_TRUE(header.has_value());
@@ -275,7 +275,8 @@ TEST(DatasetContainer, WrapUnwrapRoundtrip) {
 TEST(DatasetContainer, RejectsMismatches) {
   const std::string payload = encode(make_static_baseline());
   const std::uint64_t fp = 42;
-  std::string file = wrap_dataset(DatasetKind::StaticBaseline, fp, payload);
+  std::string file =
+      encode_header(DatasetKind::StaticBaseline, fp, payload) + payload;
 
   // Wrong kind or fingerprint.
   EXPECT_FALSE(
@@ -321,7 +322,8 @@ TEST(DatasetContainer, PreviousSchemaIsAMiss) {
   // checksum field. It parses, so `info` can call it stale, but there is no
   // fallback: unwrap refuses it and the caller re-simulates.
   const std::string payload = encode(make_static_baseline());
-  std::string file = wrap_dataset(DatasetKind::StaticBaseline, 42, payload);
+  std::string file =
+      encode_header(DatasetKind::StaticBaseline, 42, payload) + payload;
   file[4] = 2;
   const std::uint64_t fnv = fnv1a(payload);
   for (std::size_t i = 0; i < 8; ++i) {
@@ -483,7 +485,7 @@ void expect_chunked_equals_memory(const T& in, DatasetKind kind) {
   T from_memory;
   ASSERT_TRUE(decode(payload, from_memory));
   const std::string path =
-      dir.write("entry.wds", wrap_dataset(kind, kChunkFp, payload));
+      dir.write("entry.wds", encode_header(kind, kChunkFp, payload) + payload);
   for (const std::size_t piece : kPieceLengths) {
     CacheFileReader reader(path, kind, kChunkFp, piece);
     ASSERT_TRUE(reader.opened());
@@ -522,7 +524,7 @@ TEST(ChunkedLoad, FileShortenedAfterItsHeaderIsAMiss) {
   const TestDir dir;
   const std::string payload = encode(make_campaign_result());
   const std::string file =
-      wrap_dataset(DatasetKind::Campaign, kChunkFp, payload);
+      encode_header(DatasetKind::Campaign, kChunkFp, payload) + payload;
   for (const std::size_t piece :
        {std::size_t{7}, CacheFileReader::kPieceBytes}) {
     for (const std::size_t keep : {kHeaderBytes, file.size() / 2,
@@ -559,7 +561,8 @@ TEST(ChunkedLoad, FileRewrittenAfterItsHeaderIsAMiss) {
   for (const std::size_t piece :
        {std::size_t{7}, CacheFileReader::kPieceBytes}) {
     const std::string path = dir.write(
-        "entry.wds", wrap_dataset(DatasetKind::Campaign, kChunkFp, payload));
+        "entry.wds",
+        encode_header(DatasetKind::Campaign, kChunkFp, payload) + payload);
     CacheFileReader reader(path, DatasetKind::Campaign, kChunkFp, piece);
     ASSERT_TRUE(reader.opened());
     {
@@ -594,7 +597,7 @@ class HostileCacheFile : public ::testing::Test {
   HostileCacheFile()
       : cache_(dir_.path()),
         payload_(encode(make_static_baseline())),
-        file_(wrap_dataset(kKind, kFp, payload_)) {}
+        file_(encode_header(kKind, kFp, payload_) + payload_) {}
 
   [[nodiscard]] std::string path() const {
     return cache_.path_for(kKind, kFp, kOp);
@@ -690,9 +693,11 @@ TEST_F(HostileCacheFile, LengthClaimBeyondTheFileIsAMiss) {
 }
 
 TEST_F(HostileCacheFile, ForeignHeaderIsAMiss) {
-  expect_rejected(wrap_dataset(DatasetKind::AppStaticBaseline, kFp, payload_),
-                  "wrong kind");
-  expect_rejected(wrap_dataset(kKind, kFp + 1, payload_), "wrong fingerprint");
+  expect_rejected(
+      encode_header(DatasetKind::AppStaticBaseline, kFp, payload_) + payload_,
+      "wrong kind");
+  expect_rejected(encode_header(kKind, kFp + 1, payload_) + payload_,
+                  "wrong fingerprint");
   std::string bumped = file_;
   bumped[4] = static_cast<char>(kSchemaVersion + 1);
   expect_rejected(bumped, "wrong schema version");
@@ -749,8 +754,8 @@ void expect_mutants_rejected_or_canonical(const std::string& payload,
     T out;
     const bool decoded = decode(mutant, out);
     CacheFileReader reader(
-        dir.write("mutant.wds", wrap_dataset(kind, kChunkFp, mutant)), kind,
-        kChunkFp, 7);
+        dir.write("mutant.wds", encode_header(kind, kChunkFp, mutant) + mutant),
+        kind, kChunkFp, 7);
     T chunked;
     ASSERT_EQ(decode(reader, chunked) && reader.verified(), decoded)
         << "trial " << trial;

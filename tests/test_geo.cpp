@@ -44,32 +44,5 @@ TEST(Geo, InterpolateEndpoints) {
   EXPECT_NEAR(mid.lon, (kLosAngeles.lon + kBoston.lon) / 2, 1e-12);
 }
 
-TEST(Geo, BearingEastward) {
-  // LA -> Boston is roughly east-northeast.
-  const double brg = initial_bearing_deg(kLosAngeles, kBoston);
-  EXPECT_GT(brg, 45.0);
-  EXPECT_LT(brg, 90.0);
-}
-
-TEST(Geo, BearingRange) {
-  const double brg = initial_bearing_deg(kBoston, kLosAngeles);
-  EXPECT_GE(brg, 0.0);
-  EXPECT_LT(brg, 360.0);
-}
-
-TEST(Geo, DestinationRoundTrip) {
-  // Travel 100 km at bearing 60, distance back must match.
-  const LatLon dst = destination(kLosAngeles, 60.0,
-                                 Meters::from_kilometers(100.0));
-  EXPECT_NEAR(haversine_distance(kLosAngeles, dst).kilometers(), 100.0,
-              0.5);
-}
-
-TEST(Geo, DestinationZeroDistance) {
-  const LatLon dst = destination(kBoston, 123.0, Meters{0.0});
-  EXPECT_NEAR(dst.lat, kBoston.lat, 1e-9);
-  EXPECT_NEAR(dst.lon, kBoston.lon, 1e-9);
-}
-
 }  // namespace
 }  // namespace wheels

@@ -56,33 +56,15 @@ TEST(Timestamp, RejectsGarbage) {
                                {ClockKind::Utc, {}}));  // wrong month
 }
 
-TEST(XcalFilename, RoundTrip) {
+TEST(XcalFilename, NamesTheLocalStartTime) {
+  // The .drm name carries the start in the vehicle's local time: the same
+  // instant (day 5, 20:40 UTC) is an hour earlier in Pacific than in
+  // Mountain time.
   const SimTime start{4.2e8};
-  const std::string name = xcal_filename("Verizon", start,
-                                         TimeZone::Mountain);
-  EXPECT_NE(name.find("XCAL_Verizon_2022-08-"), std::string::npos);
-  EXPECT_NE(name.find(".drm"), std::string::npos);
-  const auto parsed = parse_xcal_filename(name, TimeZone::Mountain);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_NEAR(parsed->ms_since_epoch, start.ms_since_epoch, 1'000.0);
-}
-
-TEST(XcalFilename, WrongZoneShiftsTime) {
-  // Parsing a local-time filename with the wrong zone: the classic bug the
-  // study had to untangle. Off by exactly the zone difference.
-  const SimTime start{4.2e8};
-  const std::string name =
-      xcal_filename("ATT", start, TimeZone::Pacific);
-  const auto wrong = parse_xcal_filename(name, TimeZone::Eastern);
-  ASSERT_TRUE(wrong.has_value());
-  EXPECT_NEAR(start.ms_since_epoch - wrong->ms_since_epoch, 3.0 * 3600e3,
-              1'000.0);
-}
-
-TEST(XcalFilename, RejectsMalformed) {
-  EXPECT_FALSE(parse_xcal_filename("junk.drm", TimeZone::Pacific));
-  EXPECT_FALSE(parse_xcal_filename("XCAL_V_2022-08-10_10-00-00.txt",
-                                   TimeZone::Pacific));
+  EXPECT_EQ(xcal_filename("Verizon", start, TimeZone::Mountain),
+            "XCAL_Verizon_2022-08-12_14-40-00.drm");
+  EXPECT_EQ(xcal_filename("ATT", start, TimeZone::Pacific),
+            "XCAL_ATT_2022-08-12_13-40-00.drm");
 }
 
 TEST(Matcher, PicksOverlappingXcalFile) {

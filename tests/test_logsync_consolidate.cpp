@@ -46,19 +46,6 @@ TEST(Consolidate, CorruptLinesAreCountedNotFatal) {
   EXPECT_EQ(db.dropped_records(), 1u);
 }
 
-TEST(Consolidate, BetweenSlicesHalfOpen) {
-  ConsolidatedDb db;
-  const LogClock utc{ClockKind::Utc, {}};
-  db.add_stream(RecordSource::Xcal,
-                {stamp(1'000, utc), stamp(2'000, utc), stamp(3'000, utc)},
-                utc);
-  db.finalize();
-  const auto slice = db.between(SimTime{1'000}, SimTime{3'000});
-  ASSERT_EQ(slice.size(), 2u);
-  EXPECT_DOUBLE_EQ(slice[0].time.ms_since_epoch, 1'000.0);
-  EXPECT_DOUBLE_EQ(slice[1].time.ms_since_epoch, 2'000.0);
-}
-
 TEST(Consolidate, JoinNearestAcrossClocks) {
   ConsolidatedDb db;
   const LogClock utc{ClockKind::Utc, {}};
@@ -95,16 +82,10 @@ TEST(Consolidate, JoinRespectsTolerance) {
 
 TEST(Consolidate, UsageErrorsThrow) {
   ConsolidatedDb db;
-  EXPECT_THROW(db.between(SimTime{0}, SimTime{1}), std::logic_error);
   EXPECT_THROW(db.join_nearest(0, 1, Millis{1}), std::logic_error);
   db.finalize();
   const LogClock utc{ClockKind::Utc, {}};
   EXPECT_THROW(db.add_stream(RecordSource::App, {}, utc), std::logic_error);
-}
-
-TEST(Consolidate, SourceNames) {
-  EXPECT_STREQ(to_string(RecordSource::Xcal), "xcal");
-  EXPECT_STREQ(to_string(RecordSource::Passive), "passive");
 }
 
 }  // namespace

@@ -76,16 +76,6 @@ TEST(MptcpScheduler, SurvivesComplementaryOutages) {
   EXPECT_GT(r.bonded_total_gb, r.best_single_total_gb);
 }
 
-TEST(MptcpScheduler, RestartResetsSubflows) {
-  MptcpConnection c(Rng(6), 2);
-  std::vector<SubflowInput> links = {{Mbps{50.0}, Millis{40.0}},
-                                     {Mbps{50.0}, Millis{40.0}}};
-  for (int i = 0; i < 2'000; ++i) c.step(Millis{10.0}, links);
-  c.restart();
-  EXPECT_TRUE(c.subflow(0).in_slow_start());
-  EXPECT_TRUE(c.subflow(1).in_slow_start());
-}
-
 TEST(MptcpScheduler, EmptyRunIsEmpty) {
   const auto r = run_bonded(Rng(7), {}, Millis{10.0}, Millis{500.0});
   EXPECT_TRUE(r.bonded_mbps.empty());

@@ -62,21 +62,20 @@ TEST(ObsHistogram, BucketBoundsAreInclusiveAndNegativesClampToZero) {
   EXPECT_EQ(mv->sum, 0 + 5 + 10 + 11 + 100 + 1000 + 1001);
 }
 
-TEST(ObsGauge, SetOverwritesAndSetMaxIsHighWatermark) {
+TEST(ObsGauge, SetMaxIsHighWatermark) {
   Registry& reg = Registry::global();
   Gauge& g = reg.gauge("test.gauge.watermark");
   reg.reset_values_for_testing();
 
-  g.set(7);
+  g.set_max(7);
   g.set_max(3);  // below the current value: no-op
   const Snapshot mid = reg.snapshot();
   ASSERT_NE(mid.find("test.gauge.watermark"), nullptr);
   EXPECT_EQ(mid.find("test.gauge.watermark")->value, 7);
 
   g.set_max(12);  // raises
-  g.set(2);       // plain set always overwrites
   const Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.find("test.gauge.watermark")->value, 2);
+  EXPECT_EQ(snap.find("test.gauge.watermark")->value, 12);
   EXPECT_EQ(snap.find("test.gauge.watermark")->det, Det::WallClock);
 }
 

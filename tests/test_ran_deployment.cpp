@@ -31,7 +31,6 @@ TEST(Deployment, DeterministicForSameSeed) {
   const auto& prof = operator_profile(OperatorId::Verizon);
   const auto a = Deployment::generate(c, prof, Rng(5));
   const auto b = Deployment::generate(c, prof, Rng(5));
-  ASSERT_EQ(a.total_cells(), b.total_cells());
   for (Tech t : radio::kAllTechs) {
     const auto ca = a.cells(t), cb = b.cells(t);
     ASSERT_EQ(ca.size(), cb.size());

@@ -128,6 +128,9 @@ TEST(ServeProtocol, PeekRejectsOversize) {
   EXPECT_EQ(peek_frame(frame, 64, body_len), FrameStatus::Ok);
 }
 
+// A request's QueryKind as its wire tag, for failure messages.
+int kind_tag(const Request& req) { return static_cast<int>(kind_of(req)); }
+
 std::vector<Request> all_request_kinds() {
   KpiQuery kpi;
   kpi.dataset = fast_selector(7);
@@ -165,11 +168,11 @@ TEST(ServeProtocol, RequestRoundTripEveryKind) {
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const Request& req = requests[i];
     const std::string body = encode_request(req);
-    EXPECT_EQ(hex(body), kRequestBodies[i]) << to_string(kind_of(req));
+    EXPECT_EQ(hex(body), kRequestBodies[i]) << kind_tag(req);
     Request out;
     ASSERT_EQ(decode_request(body, out), DecodeStatus::Ok)
-        << to_string(kind_of(req));
-    EXPECT_EQ(out, req) << to_string(kind_of(req));
+        << kind_tag(req);
+    EXPECT_EQ(out, req) << kind_tag(req);
   }
 }
 
@@ -180,7 +183,7 @@ TEST(ServeProtocol, TruncatedRequestsAreMalformedAtEveryLength) {
       Request out;
       EXPECT_EQ(decode_request(std::string_view(body).substr(0, n), out),
                 DecodeStatus::Malformed)
-          << to_string(kind_of(req)) << " truncated to " << n << " of "
+          << kind_tag(req) << " truncated to " << n << " of "
           << body.size() << " bytes";
     }
   }
@@ -192,7 +195,7 @@ TEST(ServeProtocol, TrailingBytesAreMalformed) {
     body.push_back('\0');
     Request out;
     EXPECT_EQ(decode_request(body, out), DecodeStatus::Malformed)
-        << to_string(kind_of(req));
+        << kind_tag(req);
   }
 }
 
@@ -355,7 +358,7 @@ TEST(ServeMutation, RequestsAreRejectedOrCanonical) {
       if (decode_request(mutant, out) != DecodeStatus::Ok) continue;
       ++accepted;
       ASSERT_EQ(encode_request(out), mutant)
-          << to_string(kind_of(req)) << " trial " << trial;
+          << kind_tag(req) << " trial " << trial;
     }
   }
   // Both outcomes occur, so neither branch is vacuous.

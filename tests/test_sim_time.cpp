@@ -34,11 +34,6 @@ TEST(CivilTime, MidnightUtcEpoch) {
   EXPECT_EQ(ct.hour, 20);
 }
 
-TEST(CivilTime, FormatsAsExpected) {
-  CivilTime ct{3, 13, 45, 2, 500};
-  EXPECT_EQ(format_civil(ct), "D3 13:45:02.500");
-}
-
 class CivilRoundTrip : public ::testing::TestWithParam<TimeZone> {};
 
 TEST_P(CivilRoundTrip, ToCivilFromCivilIsIdentity) {

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
+#include <climits>
 #include <cstdlib>
+
+#include "core/parse_int.h"
 
 namespace wheels {
 namespace {
@@ -25,17 +27,10 @@ int resolve_jobs(int requested) {
   const int cap = static_cast<int>(4u * hw);
   int jobs = requested;
   if (jobs < 1) {
-    jobs = 1;
-    if (const char* env = std::getenv("WHEELS_JOBS")) {
-      errno = 0;
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      // A malformed WHEELS_JOBS falls back to sequential rather than
-      // guessing: parallelism is an optimization, never a requirement.
-      if (errno == 0 && end != env && *end == '\0' && v >= 1) {
-        jobs = static_cast<int>(std::min<long>(v, cap));
-      }
-    }
+    // A malformed WHEELS_JOBS falls back to sequential rather than
+    // guessing: parallelism is an optimization, never a requirement.
+    const auto env = parse_int(std::getenv("WHEELS_JOBS"), 1, LLONG_MAX);
+    jobs = env ? static_cast<int>(std::min<long long>(*env, cap)) : 1;
   }
   return std::clamp(jobs, 1, cap);
 }

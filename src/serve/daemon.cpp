@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "core/parse_int.h"
 #include "obs/metrics.h"
 
 namespace wheels::serve {
@@ -26,11 +28,9 @@ constexpr int kPollTickMs = 100;
 
 int resolve_idle_ms(int requested) {
   if (requested >= 0) return requested;
-  if (const char* env = std::getenv("WHEELS_SERVE_IDLE_MS")) {
-    const int v = std::atoi(env);
-    if (v >= 0) return v;
-  }
-  return 30000;
+  return static_cast<int>(
+      parse_int(std::getenv("WHEELS_SERVE_IDLE_MS"), 0, INT_MAX)
+          .value_or(30000));
 }
 
 obs::Counter& sessions_counter() {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "analysis/performance.h"
+#include "core/parse_int.h"
 #include "core/stats.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
@@ -17,11 +18,9 @@ namespace {
 
 long long resolve_max_frame(long long requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("WHEELS_SERVE_MAX_FRAME")) {
-    const long long v = std::atoll(env);
-    if (v > 0) return v;
-  }
-  return static_cast<long long>(kDefaultMaxFrameBytes);
+  return parse_int(std::getenv("WHEELS_SERVE_MAX_FRAME"), 1,
+                   std::numeric_limits<long long>::max())
+      .value_or(static_cast<long long>(kDefaultMaxFrameBytes));
 }
 
 // Request counters are Det::Stable (a pure function of the request

@@ -1,9 +1,11 @@
 #include "serve/store.h"
 
+#include <climits>
 #include <cstdlib>
 #include <string>
 #include <utility>
 
+#include "core/parse_int.h"
 #include "dataset/fingerprint.h"
 #include "obs/metrics.h"
 
@@ -14,11 +16,9 @@ constexpr int kDefaultMaxDatasets = 8;
 
 int resolve_max_datasets(int requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("WHEELS_SERVE_MAX_DATASETS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return kDefaultMaxDatasets;
+  return static_cast<int>(
+      parse_int(std::getenv("WHEELS_SERVE_MAX_DATASETS"), 1, INT_MAX)
+          .value_or(kDefaultMaxDatasets));
 }
 
 // Process-wide mirrors of the per-store counters (Det::Stable: cache

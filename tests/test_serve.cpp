@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -947,6 +948,46 @@ TEST(ServeDaemon, ConcurrentPings) {
             static_cast<std::uint64_t>(kClients * kCallsEach));
   EXPECT_GE(std::get<StatsReply>(stats->second).sessions,
             static_cast<std::uint64_t>(kClients));
+}
+
+// The serve daemon's three env values are read whole or not at all: a
+// value that is not one decimal integer in range falls back to the
+// documented default, never to its leading digits ("30s" is not 30 ms,
+// "1e6" is not a 1-byte frame limit).
+TEST(ServeEnv, MalformedValuesFallBackToTheDefault) {
+  const std::string kPastInt = "2147483648";
+  const std::string kPastLongLong = "9223372036854775808";
+  for (const std::string& v :
+       {std::string("abc"), std::string("30s"), std::string("1e6"),
+        std::string(""), std::string("-5"), kPastInt, kPastLongLong}) {
+    ASSERT_EQ(setenv("WHEELS_SERVE_IDLE_MS", v.c_str(), 1), 0);
+    ASSERT_EQ(setenv("WHEELS_SERVE_MAX_DATASETS", v.c_str(), 1), 0);
+    ASSERT_EQ(setenv("WHEELS_SERVE_MAX_FRAME", v.c_str(), 1), 0);
+    EXPECT_EQ(Daemon().idle_timeout_ms(), 30000) << '"' << v << '"';
+    EXPECT_EQ(DatasetStore().capacity(), 8) << '"' << v << '"';
+    // A frame limit past INT_MAX is a well-formed long long.
+    EXPECT_EQ(Router().max_frame_bytes(),
+              v == kPastInt ? std::size_t{2147483648u} : kDefaultMaxFrameBytes)
+        << '"' << v << '"';
+  }
+  ASSERT_EQ(unsetenv("WHEELS_SERVE_IDLE_MS"), 0);
+  ASSERT_EQ(unsetenv("WHEELS_SERVE_MAX_DATASETS"), 0);
+  ASSERT_EQ(unsetenv("WHEELS_SERVE_MAX_FRAME"), 0);
+}
+
+TEST(ServeEnv, WellFormedValuesAreRead) {
+  ASSERT_EQ(setenv("WHEELS_SERVE_IDLE_MS", "0", 1), 0);
+  ASSERT_EQ(setenv("WHEELS_SERVE_MAX_DATASETS", "3", 1), 0);
+  ASSERT_EQ(setenv("WHEELS_SERVE_MAX_FRAME", "4096", 1), 0);
+  EXPECT_EQ(Daemon().idle_timeout_ms(), 0);  // 0 turns the timeout off
+  EXPECT_EQ(DatasetStore().capacity(), 3);
+  EXPECT_EQ(Router().max_frame_bytes(), 4096u);
+  ASSERT_EQ(unsetenv("WHEELS_SERVE_IDLE_MS"), 0);
+  ASSERT_EQ(unsetenv("WHEELS_SERVE_MAX_DATASETS"), 0);
+  ASSERT_EQ(unsetenv("WHEELS_SERVE_MAX_FRAME"), 0);
+  EXPECT_EQ(Daemon().idle_timeout_ms(), 30000);
+  EXPECT_EQ(DatasetStore().capacity(), 8);
+  EXPECT_EQ(Router().max_frame_bytes(), kDefaultMaxFrameBytes);
 }
 
 }  // namespace

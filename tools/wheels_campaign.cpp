@@ -11,7 +11,7 @@
 // `export-csv` writes the consolidated per-record CSVs the study's
 // published dataset uses.
 #include <algorithm>
-#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +28,7 @@
 
 #include "apps/app_campaign.h"
 #include "core/csv.h"
+#include "core/parse_int.h"
 #include "core/table.h"
 #include "core/thread_pool.h"
 #include "dataset/cache.h"
@@ -79,15 +80,13 @@ int usage(std::ostream& os, int code) {
 }
 
 long parse_long_or_exit(const std::string& text, const char* opt) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0' || v < 0) {
+  const auto v = parse_int(text.c_str(), 0, LONG_MAX);
+  if (!v) {
     std::cerr << "wheels_campaign: invalid value '" << text << "' for "
               << opt << "\n";
     std::exit(2);
   }
-  return v;
+  return static_cast<long>(*v);
 }
 
 struct Options {

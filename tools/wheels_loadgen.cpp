@@ -10,7 +10,7 @@
 // all phase assertions hold, so CI can use it as the serve smoke check.
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +25,7 @@
 #include <condition_variable>
 
 #include "core/json_text.h"
+#include "core/parse_int.h"
 #include "core/rng.h"
 #include "core/stats.h"
 #include "obs/clock.h"
@@ -54,15 +55,13 @@ int usage(std::ostream& os, int code) {
 }
 
 long parse_long_or_exit(const std::string& text, const char* opt) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0' || v < 0) {
+  const auto v = parse_int(text.c_str(), 0, LONG_MAX);
+  if (!v) {
     std::cerr << "wheels_loadgen: invalid value '" << text << "' for " << opt
               << "\n";
     std::exit(2);
   }
-  return v;
+  return static_cast<long>(*v);
 }
 
 struct Options {

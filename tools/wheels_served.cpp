@@ -6,11 +6,13 @@
 // socket or a stdin/stdout pipe. Cache misses resolve through
 // CampaignProvider with cross-request single-flight, so a thundering herd
 // on one cold fingerprint simulates exactly once.
+#include <climits>
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "core/parse_int.h"
 #include "obs/runtime.h"
 #include "serve/daemon.h"
 
@@ -44,15 +46,13 @@ int usage(std::ostream& os, int code) {
 }
 
 long parse_long_or_exit(const std::string& text, const char* opt) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0' || v < 0) {
+  const auto v = parse_int(text.c_str(), 0, LONG_MAX);
+  if (!v) {
     std::cerr << "wheels_served: invalid value '" << text << "' for " << opt
               << "\n";
     std::exit(2);
   }
-  return v;
+  return static_cast<long>(*v);
 }
 
 serve::Daemon* g_daemon = nullptr;

@@ -93,7 +93,7 @@ class StubbedRoster(unittest.TestCase):
 
     def test_quick_never_runs_the_sanitizers_or_the_audit(self):
         _, out, called = self.run_stubbed("--quick")
-        for stage_id in ("asan", "tsan", "rng-audit"):
+        for stage_id in ("asan", "tsan", "rng-audit", "reach"):
             self.assertIn(stage_id, ALL_IDS)
             self.assertNotIn(stage_id, called, out)
 

@@ -138,6 +138,31 @@ stage_headers() { build default header_selfcheck; }
 
 stage_werror() { build werror; }
 
+# Code only tests reach. The shipped programs -- the tools, bench/, the
+# examples and perfbench's own, unmodified project -- are built at -O0
+# with -ffunction-sections and linked with --gc-sections, so nothing is
+# inlined away and a function no program can call is dropped from every
+# binary. tools/wheels_reach.py then fails on any non-inline src/ function
+# none of them holds, unless the registry's reach_allow lists it as a
+# test seam.
+stage_reach() {
+  local dir=build/ci-reach f
+  local flags=(-DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS_DEBUG=-O0
+    -DCMAKE_CXX_FLAGS=-ffunction-sections
+    -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections)
+  local targets=(wheels_campaign wheels_served wheels_loadgen)
+  for f in bench/bench_*.cpp examples/*.cpp; do
+    targets+=("$(basename "$f" .cpp)")
+  done
+  cmake -S . -B "$dir/main" "${flags[@]}" >/dev/null
+  cmake --build "$dir/main" -j "$JOBS" --target "${targets[@]}" >/dev/null
+  cmake -S perfbench -B "$dir/perfbench" "${flags[@]}" >/dev/null
+  cmake --build "$dir/perfbench" -j "$JOBS" >/dev/null
+  python3 tools/wheels_reach.py --libs "$dir/main/src" \
+    --bins "$dir/main/tools" "$dir/main/bench" "$dir/main/examples" \
+    "$dir/perfbench" "$dir/perfbench/printers"
+}
+
 stage_asan() {
   build asan-ubsan
   # halt_on_error + exitcode make any report fail the suite; UBSan is

@@ -6,9 +6,9 @@
 // the reference distance, the per-RE transmit powers, the per-MCS carrier
 // rates) from the band plan and the link-adaptation tables; the per-slot
 // functions below add the distance- and channel-dependent remainder.
-// tests/test_replay_kernel.cpp pins every function's outputs over dense
-// grids by value, and the dataset pins in tests/contract_pins.h pin the
-// chain end to end.
+// tests/test_replay_kernel.cpp pins the path loss, CQI, MCS and PHY-rate
+// outputs over dense grids by value, and the dataset pins in
+// tests/contract_pins.h pin the whole chain end to end.
 #pragma once
 
 #include <array>

@@ -87,8 +87,8 @@ stage_rng_audit() {
 }
 
 # The argument/exit-code contract of wheels_campaign, without a
-# simulation: `info` on an empty cache succeeds, malformed input and
-# unknown subcommands are rejected.
+# simulation: `info` on an empty cache succeeds, malformed or
+# out-of-range input and unknown subcommands are rejected.
 stage_cli() {
   build default wheels_campaign
   local cli=build/tools/wheels_campaign dir=build/cli-smoke-cache
@@ -96,6 +96,7 @@ stage_cli() {
   "$cli" --help >/dev/null
   "$cli" info --dir "$dir" >/dev/null
   fails "$cli" generate --stride abc --dir "$dir"
+  fails "$cli" info --stride 4294967297 --dir "$dir"
   fails "$cli" bogus-subcommand
   rm -rf "$dir"
 }

@@ -79,14 +79,17 @@ int usage(std::ostream& os, int code) {
   return code;
 }
 
-long parse_long_or_exit(const std::string& text, const char* opt) {
-  const auto v = parse_int(text.c_str(), 0, LONG_MAX);
+// The value of option `opt` as an integer in [0, hi]; anything else is a
+// usage error.
+long long parse_int_or_exit(const std::string& text, const char* opt,
+                            long long hi) {
+  const auto v = parse_int(text.c_str(), 0, hi);
   if (!v) {
     std::cerr << "wheels_campaign: invalid value '" << text << "' for "
               << opt << "\n";
     std::exit(2);
   }
-  return static_cast<long>(*v);
+  return *v;
 }
 
 struct Options {
@@ -128,15 +131,15 @@ Options parse_options(int argc, char** argv) {
       o.scenario = value();
     } else if (arg == "--stride") {
       o.stride = static_cast<int>(
-          std::max(1L, parse_long_or_exit(value(), "--stride")));
+          std::max(1LL, parse_int_or_exit(value(), "--stride", INT_MAX)));
     } else if (arg == "--apps-stride") {
-      o.apps_stride = static_cast<int>(
-          std::max(1L, parse_long_or_exit(value(), "--apps-stride")));
+      o.apps_stride = static_cast<int>(std::max(
+          1LL, parse_int_or_exit(value(), "--apps-stride", INT_MAX)));
     } else if (arg == "--seed") {
-      o.seed =
-          static_cast<std::uint64_t>(parse_long_or_exit(value(), "--seed"));
+      o.seed = static_cast<std::uint64_t>(
+          parse_int_or_exit(value(), "--seed", LLONG_MAX));
     } else if (arg == "--jobs") {
-      o.jobs = static_cast<int>(parse_long_or_exit(value(), "--jobs"));
+      o.jobs = static_cast<int>(parse_int_or_exit(value(), "--jobs", INT_MAX));
     } else if (arg == "--skip-apps") {
       o.skip_apps = true;
     } else if (arg == "--skip-static") {

@@ -54,14 +54,17 @@ int usage(std::ostream& os, int code) {
   return code;
 }
 
-long parse_long_or_exit(const std::string& text, const char* opt) {
-  const auto v = parse_int(text.c_str(), 0, LONG_MAX);
+// The value of option `opt` as an integer in [0, hi]; anything else is a
+// usage error.
+long long parse_int_or_exit(const std::string& text, const char* opt,
+                            long long hi) {
+  const auto v = parse_int(text.c_str(), 0, hi);
   if (!v) {
     std::cerr << "wheels_loadgen: invalid value '" << text << "' for " << opt
               << "\n";
     std::exit(2);
   }
-  return static_cast<long>(*v);
+  return *v;
 }
 
 struct Options {
@@ -325,17 +328,20 @@ int main(int argc, char** argv) {
     } else if (arg == "--scenario") {
       o.scenario = value();
     } else if (arg == "--stride") {
-      o.stride =
-          static_cast<std::uint32_t>(parse_long_or_exit(value(), "--stride"));
+      o.stride = static_cast<std::uint32_t>(
+          parse_int_or_exit(value(), "--stride", UINT32_MAX));
     } else if (arg == "--seed") {
-      o.seed = static_cast<std::uint64_t>(parse_long_or_exit(value(), "--seed"));
+      o.seed = static_cast<std::uint64_t>(
+          parse_int_or_exit(value(), "--seed", LLONG_MAX));
     } else if (arg == "--clients") {
-      o.clients = static_cast<int>(parse_long_or_exit(value(), "--clients"));
+      o.clients =
+          static_cast<int>(parse_int_or_exit(value(), "--clients", INT_MAX));
     } else if (arg == "--requests") {
-      o.requests = static_cast<int>(parse_long_or_exit(value(), "--requests"));
+      o.requests =
+          static_cast<int>(parse_int_or_exit(value(), "--requests", INT_MAX));
     } else if (arg == "--schedule-seed") {
       o.schedule_seed = static_cast<std::uint64_t>(
-          parse_long_or_exit(value(), "--schedule-seed"));
+          parse_int_or_exit(value(), "--schedule-seed", LLONG_MAX));
     } else if (arg == "--out") {
       o.out_path = value();
     } else if (arg == "--probe") {

@@ -45,14 +45,17 @@ int usage(std::ostream& os, int code) {
   return code;
 }
 
-long parse_long_or_exit(const std::string& text, const char* opt) {
-  const auto v = parse_int(text.c_str(), 0, LONG_MAX);
+// The value of option `opt` as an integer in [0, hi]; anything else is a
+// usage error.
+long long parse_int_or_exit(const std::string& text, const char* opt,
+                            long long hi) {
+  const auto v = parse_int(text.c_str(), 0, hi);
   if (!v) {
     std::cerr << "wheels_served: invalid value '" << text << "' for " << opt
               << "\n";
     std::exit(2);
   }
-  return static_cast<long>(*v);
+  return *v;
 }
 
 serve::Daemon* g_daemon = nullptr;
@@ -86,15 +89,16 @@ int main(int argc, char** argv) {
       opts.router.store.provider.cache_dir = value();
     } else if (arg == "--jobs") {
       opts.router.store.provider.jobs =
-          static_cast<int>(parse_long_or_exit(value(), "--jobs"));
+          static_cast<int>(parse_int_or_exit(value(), "--jobs", INT_MAX));
     } else if (arg == "--max-datasets") {
-      opts.router.store.max_datasets =
-          static_cast<int>(parse_long_or_exit(value(), "--max-datasets"));
+      opts.router.store.max_datasets = static_cast<int>(
+          parse_int_or_exit(value(), "--max-datasets", INT_MAX));
     } else if (arg == "--idle-ms") {
       opts.idle_timeout_ms =
-          static_cast<int>(parse_long_or_exit(value(), "--idle-ms"));
+          static_cast<int>(parse_int_or_exit(value(), "--idle-ms", INT_MAX));
     } else if (arg == "--max-frame") {
-      opts.router.max_frame_bytes = parse_long_or_exit(value(), "--max-frame");
+      opts.router.max_frame_bytes =
+          parse_int_or_exit(value(), "--max-frame", LLONG_MAX);
     } else if (arg == "--verbose") {
       opts.verbose = true;
       opts.router.store.provider.verbose = true;

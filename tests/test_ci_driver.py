@@ -136,9 +136,10 @@ class StubbedRoster(unittest.TestCase):
 class RealQuickRun(unittest.TestCase):
     """The real --quick stage bodies, minus the ones that only build or
     simulate (cli, scenario, trace, headers, werror), the optional
-    clang-tidy, and selftests: ctest runs the same four rule self-test
-    files as lint_rules, arch_rules, contract_rules and rng_rules, and the
-    stubbed cases above check that the roster calls the stage."""
+    clang-tidy, and selftests: ctest runs the same five rule self-test
+    files as lint_rules, arch_rules, contract_rules, rng_rules and
+    reach_rules, and the stubbed cases above check that the roster calls
+    the stage."""
 
     def test_quick_passes(self):
         code, out = run_driver(

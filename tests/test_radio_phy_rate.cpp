@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <tuple>
 
 #include "radio/kernel.h"
@@ -175,6 +176,29 @@ TEST(LinkBudget, InterferenceMarginReducesSinr) {
   const double loaded =
       sinr_dl_db(Tech::NR_MID, Environment::Urban, 500.0, ch, Db{15.0});
   EXPECT_NEAR(clean - loaded, 15.0, 1e-9);
+}
+
+TEST(LinkBudget, PerReTermsScaleWithBandwidth) {
+  // SNR is taken per resource element: the noise is that of one 15 kHz
+  // subcarrier at a 9 dB noise figure, and a carrier's power is spread
+  // over its subcarriers, so ten times the bandwidth is 10 dB less per RE
+  // on either link, and the same SNR as a wideband budget would give.
+  EXPECT_NEAR(kNoisePerRe.value, -174.0 + 10.0 * std::log10(15e3) + 9.0,
+              0.01);
+  BandProfile narrow = default_band_plan().profile(Tech::LTE);
+  narrow.cc_bandwidth_dl = MHz{10.0};
+  narrow.cc_bandwidth_ul = MHz{10.0};
+  BandProfile wide = narrow;
+  wide.cc_bandwidth_dl = MHz{100.0};
+  wide.cc_bandwidth_ul = MHz{100.0};
+  EXPECT_NEAR(per_re_power_dl(narrow).value - per_re_power_dl(wide).value,
+              10.0, 1e-9);
+  EXPECT_NEAR(per_re_power_ul(narrow).value - per_re_power_ul(wide).value,
+              10.0, 1e-9);
+  // 43 dBm over the 666.7 subcarriers of 10 MHz: 43 - 28.24 dBm per RE,
+  // against the wideband noise of 10 MHz, -174 + 70 + 9 = -95 dBm.
+  EXPECT_NEAR(per_re_power_dl(narrow).value - kNoisePerRe.value,
+              narrow.tx_power_dl.value - (-95.0), 0.01);
 }
 
 TEST(LinkBudget, UplinkWeakerThanDownlinkAtRange) {

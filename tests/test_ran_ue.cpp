@@ -282,6 +282,30 @@ TEST(Ue, SetTrafficForcesReEvaluation) {
   EXPECT_TRUE(s.connected);
 }
 
+TEST(Ue, SeenCellsHoldEveryHandoverInAttachOrder) {
+  // The campaign's unique-cell count is the union of seen_cells(), so
+  // every handover must leave its source and target in that history: the
+  // source as the last cell attached before it, the target as the next.
+  const Corridor c = uniform_corridor(Environment::Suburban);
+  const auto& prof = operator_profile(OperatorId::TMobile);
+  const auto dep = Deployment::generate(c, prof, Rng(23));
+  UeSimulator ue(c, dep, prof, Rng(24), TrafficProfile::BackloggedDl);
+  drive(ue, 60.0, 600.0);
+  const auto& seen = ue.seen_cells();
+  const auto& hos = ue.handovers();
+  ASSERT_GT(hos.size(), 0u);
+  ASSERT_GE(seen.size(), hos.size() + 1);  // the first attach, then each
+  std::size_t at = 0;
+  for (std::size_t h = 0; h < hos.size(); ++h) {
+    while (at + 1 < seen.size() &&
+           !(seen[at] == hos[h].from_cell && seen[at + 1] == hos[h].to_cell)) {
+      ++at;
+    }
+    ASSERT_LT(at + 1, seen.size()) << "handover " << h << " not in history";
+    ++at;
+  }
+}
+
 TEST(Ue, LatencyGrowsWithSpeedForSensitiveOperators) {
   const Corridor c = uniform_corridor(Environment::Rural);
   const auto& prof = operator_profile(OperatorId::TMobile);

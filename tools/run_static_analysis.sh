@@ -51,6 +51,7 @@ stage_selftests() {
   python3 tests/test_arch_rules.py
   python3 tests/test_contract_rules.py
   python3 tests/test_rng_rules.py
+  python3 tests/test_reach_rules.py
 }
 
 stage_lint() { python3 tools/wheels_lint.py --root "$ROOT"; }

@@ -356,9 +356,8 @@ class PrinterDigests(unittest.TestCase):
 
     def test_malformed_sections_fire(self):
         for section, needle in (
-                ({"stride": 0, "entries": {}}, "positive integer stride"),
-                ({"stride": 64, "entries": []}, "positive integer stride"),
-                ({"stride": 64, "entries": {"bench_fig1": "0x12"}},
+                ({"entries": []}, "needs an entries object"),
+                ({"entries": {"bench_fig1": "0x12"}},
                  "printer digest bench_fig1 needs a checksum")):
             with tempfile.TemporaryDirectory() as tmp:
                 code, out, _ = self.make_root(tmp, section)
@@ -369,7 +368,7 @@ class PrinterDigests(unittest.TestCase):
     def test_printer_without_an_entry_fires(self):
         with tempfile.TemporaryDirectory() as tmp:
             code, out, _ = self.make_root(
-                tmp, {"stride": 64, "entries": {"bench_fig1": self.DIGEST}},
+                tmp, {"entries": {"bench_fig1": self.DIGEST}},
                 printers=("bench_fig1", "bench_table2", "bench_micro"))
             self.assertEqual(code, 1, out)
             self.assertIn("printer bench_table2 (bench/bench_table2.cpp) has "
@@ -379,8 +378,8 @@ class PrinterDigests(unittest.TestCase):
     def test_entry_without_a_printer_fires(self):
         with tempfile.TemporaryDirectory() as tmp:
             code, out, _ = self.make_root(
-                tmp, {"stride": 64, "entries": {"bench_fig1": self.DIGEST,
-                                                "bench_fig9": self.DIGEST}},
+                tmp, {"entries": {"bench_fig1": self.DIGEST,
+                                  "bench_fig9": self.DIGEST}},
                 printers=("bench_fig1",))
             self.assertEqual(code, 1, out)
             self.assertIn("printer digest bench_fig9 names no bench/ printer",
@@ -389,7 +388,7 @@ class PrinterDigests(unittest.TestCase):
     def test_disagreement_with_benchmark_record_fires(self):
         with tempfile.TemporaryDirectory() as tmp:
             code, out, _ = self.make_root(
-                tmp, {"stride": 64, "entries": {"bench_fig1": self.DIGEST}},
+                tmp, {"entries": {"bench_fig1": self.DIGEST}},
                 expected={"bench_fig1": "0x1111111111111111"})
             self.assertEqual(code, 1, out)
             self.assertIn("perfbench/expected_seed42.json records "
@@ -398,7 +397,7 @@ class PrinterDigests(unittest.TestCase):
     def test_agreement_with_benchmark_record_passes(self):
         with tempfile.TemporaryDirectory() as tmp:
             code, out, _ = self.make_root(
-                tmp, {"stride": 64, "entries": {"bench_fig1": self.DIGEST}},
+                tmp, {"entries": {"bench_fig1": self.DIGEST}},
                 printers=("bench_fig1",),
                 expected={"bench_fig1": self.DIGEST})
             self.assertEqual(code, 0, out)

@@ -1,5 +1,6 @@
 #include "core/parse_int.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 
@@ -7,7 +8,11 @@ namespace wheels {
 
 std::optional<long long> parse_int(const char* text, long long lo,
                                    long long hi) {
-  if (text == nullptr) return std::nullopt;
+  // strtoll skips leading whitespace; the value must start at its first
+  // character, as it must end at its last.
+  if (text == nullptr || std::isspace(static_cast<unsigned char>(*text))) {
+    return std::nullopt;
+  }
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(text, &end, 10);

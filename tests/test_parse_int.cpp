@@ -43,6 +43,15 @@ TEST(ParseInt, RefusesTextAfterTheDigits) {
   }
 }
 
+TEST(ParseInt, RefusesWhitespaceBeforeTheDigits) {
+  // strtoll would skip it; the value must start at the first character as
+  // it must end at the last, so " 5" is refused like "5 ".
+  for (const char* text : {" 5", "\t4", "\n7", " -3", " +2"}) {
+    EXPECT_EQ(parse_int(text, LLONG_MIN, LLONG_MAX), std::nullopt)
+        << '"' << text << '"';
+  }
+}
+
 TEST(ParseInt, RangeIsInclusive) {
   EXPECT_EQ(parse_int("1", 1, 8), 1);
   EXPECT_EQ(parse_int("8", 1, 8), 8);

@@ -5,7 +5,7 @@ Usage: test_tool_options.py <wheels_campaign|wheels_served|wheels_loadgen>
 
 Each integer option of the tool is given a value one past the largest its
 field holds, and values that are not one decimal integer ("abc", "30s",
-"1e6", "", "-1"). The tool must refuse each with exit 2 and name the
+"1e6", "", "-1", " 5"). The tool must refuse each with exit 2 and name the
 option, while it is still reading its arguments, so nothing runs. The
 largest value the field holds is accepted: followed by an unknown option,
 the tool gets as far as refusing that option instead. Registered in
@@ -68,7 +68,7 @@ class ToolOptions(unittest.TestCase):
 
     def test_malformed_values_are_refused(self):
         for opt, _ in self.options():
-            for value in ("abc", "30s", "1e6", "", "-1"):
+            for value in ("abc", "30s", "1e6", "", "-1", " 5"):
                 with self.subTest(opt=opt, value=value):
                     code, err = run(opt, value)
                     self.assertEqual(code, 2, err)

@@ -28,7 +28,6 @@
 
 #include "apps/app_campaign.h"
 #include "core/csv.h"
-#include "core/parse_int.h"
 #include "core/table.h"
 #include "core/thread_pool.h"
 #include "dataset/cache.h"
@@ -40,6 +39,8 @@
 #include "obs/runtime.h"
 #include "scenario/spec.h"
 #include "trip/campaign.h"
+
+#include "option_int.h"
 
 namespace {
 
@@ -77,19 +78,6 @@ int usage(std::ostream& os, int code) {
         "  --trace PATH     write a Chrome trace_event file on exit\n"
         "                   (same as WHEELS_TRACE=PATH)\n";
   return code;
-}
-
-// The value of option `opt` as an integer in [0, hi]; anything else is a
-// usage error.
-long long parse_int_or_exit(const std::string& text, const char* opt,
-                            long long hi) {
-  const auto v = parse_int(text.c_str(), 0, hi);
-  if (!v) {
-    std::cerr << "wheels_campaign: invalid value '" << text << "' for "
-              << opt << "\n";
-    std::exit(2);
-  }
-  return *v;
 }
 
 struct Options {
@@ -131,15 +119,18 @@ Options parse_options(int argc, char** argv) {
       o.scenario = value();
     } else if (arg == "--stride") {
       o.stride = static_cast<int>(
-          std::max(1LL, parse_int_or_exit(value(), "--stride", INT_MAX)));
+          std::max(1LL, parse_int_or_exit("wheels_campaign", value(),
+                                          "--stride", INT_MAX)));
     } else if (arg == "--apps-stride") {
-      o.apps_stride = static_cast<int>(std::max(
-          1LL, parse_int_or_exit(value(), "--apps-stride", INT_MAX)));
+      o.apps_stride = static_cast<int>(
+          std::max(1LL, parse_int_or_exit("wheels_campaign", value(),
+                                          "--apps-stride", INT_MAX)));
     } else if (arg == "--seed") {
       o.seed = static_cast<std::uint64_t>(
-          parse_int_or_exit(value(), "--seed", LLONG_MAX));
+          parse_int_or_exit("wheels_campaign", value(), "--seed", LLONG_MAX));
     } else if (arg == "--jobs") {
-      o.jobs = static_cast<int>(parse_int_or_exit(value(), "--jobs", INT_MAX));
+      o.jobs = static_cast<int>(
+          parse_int_or_exit("wheels_campaign", value(), "--jobs", INT_MAX));
     } else if (arg == "--skip-apps") {
       o.skip_apps = true;
     } else if (arg == "--skip-static") {

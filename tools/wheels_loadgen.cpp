@@ -25,12 +25,13 @@
 #include <condition_variable>
 
 #include "core/json_text.h"
-#include "core/parse_int.h"
 #include "core/rng.h"
 #include "core/stats.h"
 #include "obs/clock.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
+
+#include "option_int.h"
 
 namespace {
 
@@ -52,19 +53,6 @@ int usage(std::ostream& os, int code) {
         "  --probe          malformed-frame probes before the phases\n"
         "  --shutdown       send Shutdown once done\n";
   return code;
-}
-
-// The value of option `opt` as an integer in [0, hi]; anything else is a
-// usage error.
-long long parse_int_or_exit(const std::string& text, const char* opt,
-                            long long hi) {
-  const auto v = parse_int(text.c_str(), 0, hi);
-  if (!v) {
-    std::cerr << "wheels_loadgen: invalid value '" << text << "' for " << opt
-              << "\n";
-    std::exit(2);
-  }
-  return *v;
 }
 
 struct Options {
@@ -329,19 +317,19 @@ int main(int argc, char** argv) {
       o.scenario = value();
     } else if (arg == "--stride") {
       o.stride = static_cast<std::uint32_t>(
-          parse_int_or_exit(value(), "--stride", UINT32_MAX));
+          parse_int_or_exit("wheels_loadgen", value(), "--stride", UINT32_MAX));
     } else if (arg == "--seed") {
       o.seed = static_cast<std::uint64_t>(
-          parse_int_or_exit(value(), "--seed", LLONG_MAX));
+          parse_int_or_exit("wheels_loadgen", value(), "--seed", LLONG_MAX));
     } else if (arg == "--clients") {
-      o.clients =
-          static_cast<int>(parse_int_or_exit(value(), "--clients", INT_MAX));
+      o.clients = static_cast<int>(
+          parse_int_or_exit("wheels_loadgen", value(), "--clients", INT_MAX));
     } else if (arg == "--requests") {
-      o.requests =
-          static_cast<int>(parse_int_or_exit(value(), "--requests", INT_MAX));
+      o.requests = static_cast<int>(
+          parse_int_or_exit("wheels_loadgen", value(), "--requests", INT_MAX));
     } else if (arg == "--schedule-seed") {
-      o.schedule_seed = static_cast<std::uint64_t>(
-          parse_int_or_exit(value(), "--schedule-seed", LLONG_MAX));
+      o.schedule_seed = static_cast<std::uint64_t>(parse_int_or_exit(
+          "wheels_loadgen", value(), "--schedule-seed", LLONG_MAX));
     } else if (arg == "--out") {
       o.out_path = value();
     } else if (arg == "--probe") {

@@ -12,9 +12,10 @@
 #include <iostream>
 #include <string>
 
-#include "core/parse_int.h"
 #include "obs/runtime.h"
 #include "serve/daemon.h"
+
+#include "option_int.h"
 
 namespace {
 
@@ -43,19 +44,6 @@ int usage(std::ostream& os, int code) {
         "  --trace PATH       write a Chrome trace_event file on exit\n"
         "                     (same as WHEELS_TRACE=PATH)\n";
   return code;
-}
-
-// The value of option `opt` as an integer in [0, hi]; anything else is a
-// usage error.
-long long parse_int_or_exit(const std::string& text, const char* opt,
-                            long long hi) {
-  const auto v = parse_int(text.c_str(), 0, hi);
-  if (!v) {
-    std::cerr << "wheels_served: invalid value '" << text << "' for " << opt
-              << "\n";
-    std::exit(2);
-  }
-  return *v;
 }
 
 serve::Daemon* g_daemon = nullptr;
@@ -88,17 +76,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--dir") {
       opts.router.store.provider.cache_dir = value();
     } else if (arg == "--jobs") {
-      opts.router.store.provider.jobs =
-          static_cast<int>(parse_int_or_exit(value(), "--jobs", INT_MAX));
+      opts.router.store.provider.jobs = static_cast<int>(
+          parse_int_or_exit("wheels_served", value(), "--jobs", INT_MAX));
     } else if (arg == "--max-datasets") {
-      opts.router.store.max_datasets = static_cast<int>(
-          parse_int_or_exit(value(), "--max-datasets", INT_MAX));
+      opts.router.store.max_datasets = static_cast<int>(parse_int_or_exit(
+          "wheels_served", value(), "--max-datasets", INT_MAX));
     } else if (arg == "--idle-ms") {
-      opts.idle_timeout_ms =
-          static_cast<int>(parse_int_or_exit(value(), "--idle-ms", INT_MAX));
+      opts.idle_timeout_ms = static_cast<int>(
+          parse_int_or_exit("wheels_served", value(), "--idle-ms", INT_MAX));
     } else if (arg == "--max-frame") {
       opts.router.max_frame_bytes =
-          parse_int_or_exit(value(), "--max-frame", LLONG_MAX);
+          parse_int_or_exit("wheels_served", value(), "--max-frame", LLONG_MAX);
     } else if (arg == "--verbose") {
       opts.verbose = true;
       opts.router.store.provider.verbose = true;
